@@ -14,8 +14,6 @@ type ClusterOptions struct {
 	Nodes int
 	// Supersteps caps the run (0 = run to convergence, up to 100).
 	Supersteps int
-	// ComputersPerNode sizes each node's computing actor pool (0 = 2).
-	ComputersPerNode int
 	// Context, when non-nil, cancels the run between supersteps.
 	Context context.Context
 	// StepRetries is the rollback-and-retry budget, mirroring
@@ -71,8 +69,8 @@ const (
 // an in-process TCP cluster — the paper's actor model extended across
 // nodes. It returns the final payload of every vertex. Each node owns a
 // contiguous, edge-balanced vertex interval with its own value file;
-// cross-node messages travel over loopback TCP and fold on arrival, so
-// the dispatch/compute overlap spans the cluster.
+// messages are combined once per source interval before they cross
+// loopback TCP, and applied at each superstep barrier.
 func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*ClusterResult, []uint64, error) {
 	policy := cluster.RestartDead
 	if opts.RedistributeDead {
@@ -91,6 +89,5 @@ func RunDistributed(graphPath string, prog Program, opts ClusterOptions) (*Clust
 		Events:            opts.Events,
 		DeadNodes:         policy,
 		Rebalance:         opts.Rebalance,
-		Node:              cluster.NodeConfig{Computers: opts.ComputersPerNode},
 	})
 }

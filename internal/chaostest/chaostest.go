@@ -100,7 +100,7 @@ func Config(maxSupersteps int) cluster.Config {
 // Baseline returns the undisturbed final vertex values for prog on the
 // chosen graph — the bit-exactness reference every disturbed run is held
 // to. The baseline shares the scenario's interval partition (splits) —
-// partition geometry is what batch boundaries and fold order hang off —
+// partition geometry is what runs and fold order hang off —
 // but runs with FIXED membership and no chaos: an elastic run is held
 // bit-identical to a never-disturbed, never-migrated cluster. Memoized
 // per key; must not be called with a fault plan active.

@@ -131,8 +131,9 @@ func Run(graphPath string, prog core.Program, cfg Config) (*Result, []uint64, er
 	// Partition the vertex space by edge count into a FIXED interval
 	// table: Splits intervals per initial node. Membership changes move
 	// whole intervals between nodes; the partition itself — and with it
-	// batch boundaries, combine groups, and fold order — never changes,
-	// which is why an elastic run stays bit-identical to a fixed one.
+	// the runs each source interval sends and their fold order — never
+	// changes, which is why an elastic run stays bit-identical to a
+	// fixed one.
 	gf, err := graph.OpenFile(graphPath, mmap.ModeAuto)
 	if err != nil {
 		return nil, nil, err

@@ -139,3 +139,58 @@ func TestClusterCombining(t *testing.T) {
 		t.Fatal("no traffic recorded")
 	}
 }
+
+// TestClusterInDegreeMatchesSerialReference covers the non-combining
+// path: InDegree has no Combiner, so every message travels in
+// generation order and is applied one by one. An integer sum is
+// order-independent, so the cluster must match the reference exactly.
+func TestClusterInDegreeMatchesSerialReference(t *testing.T) {
+	g := rmat(t, 500, 4000, 5)
+	want, _ := algorithms.ReferenceRun(g, algorithms.InDegree{}, 1)
+	path := save(t, g)
+	for _, nodes := range []int{1, 2, 3} {
+		_, values, err := cluster.Run(path, algorithms.InDegree{}, cluster.Config{Nodes: nodes, MaxSupersteps: 1})
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", nodes, err)
+		}
+		for v := int64(0); v < g.NumVertices; v++ {
+			if values[v] != want[v]&vertexfile.PayloadMask {
+				t.Fatalf("nodes=%d vertex %d: in-degree %d, want %d", nodes, v, values[v], want[v]&vertexfile.PayloadMask)
+			}
+		}
+	}
+}
+
+// TestClusterFoldInvariantUnderPlacement runs PageRank on the same
+// 4-interval partition hosted three ways. The fold order per vertex
+// depends only on the partition, so the float results must agree bit
+// for bit however the intervals are spread over nodes.
+func TestClusterFoldInvariantUnderPlacement(t *testing.T) {
+	g := rmat(t, 600, 5000, 6)
+	path := save(t, g)
+	var want []uint64
+	var ranges []cluster.Assignment
+	for _, c := range []struct{ nodes, splits int }{{1, 4}, {2, 2}, {4, 1}} {
+		res, values, err := cluster.Run(path, algorithms.PageRank{}, cluster.Config{Nodes: c.nodes, Splits: c.splits, MaxSupersteps: 5})
+		if err != nil {
+			t.Fatalf("nodes=%d splits=%d: %v", c.nodes, c.splits, err)
+		}
+		if len(res.Assignments) != 4 {
+			t.Fatalf("nodes=%d splits=%d: %d intervals, want 4", c.nodes, c.splits, len(res.Assignments))
+		}
+		if want == nil {
+			want, ranges = values, res.Assignments
+			continue
+		}
+		for i, a := range res.Assignments {
+			if a.First != ranges[i].First || a.End != ranges[i].End {
+				t.Fatalf("nodes=%d splits=%d: interval %d is [%d,%d), want [%d,%d)", c.nodes, c.splits, i, a.First, a.End, ranges[i].First, ranges[i].End)
+			}
+		}
+		for v := range want {
+			if values[v] != want[v] {
+				t.Fatalf("nodes=%d splits=%d vertex %d: %#x, want %#x", c.nodes, c.splits, v, values[v], want[v])
+			}
+		}
+	}
+}

@@ -8,22 +8,24 @@
 //
 //   - The manager actor becomes a Coordinator process coordinating
 //     supersteps over TCP control connections.
-//   - Each Node owns a contiguous vertex interval (balanced by edge
-//     count), streams its share of the CSR file with local dispatcher
-//     actors, and folds messages with local computing actors backed by
-//     its own two-column vertex value file.
-//   - Actor location transparency becomes explicit: a message whose
-//     destination is local goes straight into a computing worker's
-//     mailbox; a remote one is batched onto the owning node's data
-//     connection. Remote batches are folded as they arrive, so the
-//     paper's dispatch/compute overlap extends across the cluster.
+//   - Each Node hosts a set of vertex intervals (balanced by edge count)
+//     with its own two-column vertex value file. It streams each hosted
+//     interval's share of the CSR file and folds every message once,
+//     into one accumulator per destination interval; at the end of the
+//     source interval each accumulator drains into one sorted run.
+//   - Actor location transparency becomes explicit: a run whose
+//     destination interval is co-hosted is staged directly; a remote one
+//     crosses the owning node's data connection as a BATCH frame tagged
+//     with its source interval. Combining before the wire keeps cluster
+//     traffic close to the number of distinct destinations.
 //
 // The superstep barrier generalizes the single-machine one: after a node
 // finishes dispatching (and has flushed its peer connections) it sends an
 // end-of-stream marker on every data connection and DISPATCH_OVER to the
-// coordinator; a node acknowledges the coordinator's COMPUTE barrier only
-// after end-of-stream from every peer, which — with TCP's per-connection
-// FIFO — guarantees every batch of the superstep has been folded.
+// coordinator; at the coordinator's COMPUTE barrier a node waits for
+// end-of-stream from every peer — with TCP's per-connection FIFO, proof
+// that every run of the superstep has been staged — then applies the
+// staged runs in ascending source-interval order and acknowledges.
 //
 // Nodes here run in one process connected over loopback TCP, but nothing
 // in the protocol assumes shared memory: all graph state crosses node

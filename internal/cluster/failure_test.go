@@ -9,8 +9,8 @@ import (
 	"repro/internal/graph"
 )
 
-// bombProg panics inside Compute for one vertex, killing whichever node's
-// computing actor owns it. The cluster must surface an error promptly
+// bombProg panics inside Compute for one vertex, failing the barrier of
+// whichever node hosts it. The cluster must surface an error promptly
 // instead of deadlocking at the barrier.
 type bombProg struct{ bomb graph.VertexID }
 

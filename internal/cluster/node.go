@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +24,6 @@ import (
 
 // NodeConfig tunes one node.
 type NodeConfig struct {
-	// Computers is the number of computing actors per node (default 2).
-	Computers int
-	// BatchSize is the message batch size for both local mailboxes and
-	// peer frames (default 512).
-	BatchSize int
 	// DisableSync skips durable superstep syncs of the node's value file.
 	DisableSync bool
 	// HeartbeatInterval is how often the node pings the coordinator's
@@ -36,9 +31,9 @@ type NodeConfig struct {
 	// (default 500ms; negative disables).
 	HeartbeatInterval time.Duration
 	// BarrierTimeout bounds how long the node waits at the compute
-	// barrier for peer end-of-stream markers and local computer acks; on
-	// expiry the superstep fails with a labelled error instead of
-	// hanging on a lost peer (default 15s; negative disables).
+	// barrier for peer end-of-stream markers; on expiry the superstep
+	// fails with a labelled error instead of hanging on a lost peer
+	// (default 15s; negative disables).
 	BarrierTimeout time.Duration
 	// PeerRedials is how many times a failed data-plane write redials
 	// the peer before giving up (default 3; negative disables reconnect).
@@ -57,12 +52,6 @@ type NodeConfig struct {
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
-	if c.Computers <= 0 {
-		c.Computers = 2
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 512
-	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 500 * time.Millisecond
 	}
@@ -100,21 +89,52 @@ func stepFailf(format string, args ...any) error {
 // protocol, and the coordinator must recover.
 var errNodeKilled = errors.New("cluster: node killed by injected chaos")
 
-// compMsg is the node-local computer mailbox envelope. src is the
-// SOURCE INTERVAL the batch was generated from — not a node id: staging
-// and fold order are keyed by the fixed interval partition, so they are
-// invariant under migration, join, and drain.
-type compMsg struct {
-	src     int
-	round   uint64
-	batch   []core.Message
-	barrier bool
-	// quiesce, when non-nil, makes the computer discard all staged state
-	// for the aborted round and close the channel; because the mailbox is
-	// FIFO, every stale batch enqueued before the rollback is consumed
-	// first.
-	quiesce chan struct{}
-	done    bool
+// maxRunMsgs caps the messages of one BATCH frame, and is the length at
+// which a non-combining program's append list flushes mid-interval.
+const maxRunMsgs = 1 << 14
+
+// destAcc folds the messages one source interval sends into one
+// destination interval. With a Combiner it is dense: vals[v-first]
+// holds the left fold, in generation order, of every message for vertex
+// v, and bits marks the present slots. Without one, list keeps the
+// messages in generation order. Either way its content depends only on
+// the interval partition, never on which node hosts what.
+type destAcc struct {
+	count int // pending messages
+	vals  []uint64
+	bits  []uint64
+	list  []core.Message
+}
+
+// drain appends the pending messages to out — in ascending vertex order
+// for a dense accumulator — and leaves the accumulator empty.
+//
+//gpsa:noalloc
+func (a *destAcc) drain(out []core.Message, first int64) []core.Message {
+	a.count = 0
+	if a.vals == nil {
+		//lint:noalloc out is a staging or scratch buffer reused across supersteps; it grows only until it holds the largest run
+		out = append(out, a.list...)
+		a.list = a.list[:0]
+		return out
+	}
+	for w, word := range a.bits {
+		for word != 0 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			//lint:noalloc out is a staging or scratch buffer reused across supersteps; it grows only until it holds the largest run
+			out = append(out, core.Message{Dst: graph.VertexID(first + int64(i)), Val: a.vals[i]})
+		}
+		a.bits[w] = 0
+	}
+	return out
+}
+
+// reset discards the pending messages of an aborted attempt.
+func (a *destAcc) reset() {
+	a.count = 0
+	clear(a.bits)
+	a.list = a.list[:0]
 }
 
 // eosMark records one peer's end-of-stream for one superstep attempt.
@@ -153,7 +173,7 @@ type senderStream struct {
 // file, and computes updates for their vertices. The owners table is the
 // routing state elastic membership swaps atomically at barriers; the
 // interval partition itself never changes for the life of a job, which
-// is what keeps batch formation and fold order bit-identical across
+// is what keeps run formation and fold order bit-identical across
 // migrations.
 type node struct {
 	id       int
@@ -177,12 +197,9 @@ type node struct {
 	peerSeq   []uint64 // per-peer data-plane sequence counter, reset each round
 	listener  net.Listener
 	system    *actor.System
-	toComp    []*actor.Mailbox[compMsg]
-	ackCh     chan int64
 	eosCh     chan eosMark
-	failCh    chan error // peer disconnects and computing-actor panics
+	failCh    chan error // peer disconnects and corrupt peer streams
 	hbStop    chan struct{}
-	statsMsgs int64
 
 	// round gates the data plane: frames tagged with an older superstep
 	// attempt are dropped at arrival, so an aborted attempt's stragglers
@@ -194,6 +211,18 @@ type node struct {
 	begunStep int64
 	// streams reassembles each peer's data frames, indexed by node id.
 	streams []*senderStream
+
+	// accs holds one accumulator per destination interval for the source
+	// interval being dispatched; runBuf is the drain scratch for runs
+	// bound for another node. Both are reused across supersteps.
+	accs   []destAcc
+	runBuf []core.Message
+	// staged[src] collects the runs source interval src generated for
+	// the intervals this node hosts, applied at the barrier in ascending
+	// src order. A source interval has one host per round, so each slot
+	// has one writer: that host's sender stream under its lock, or the
+	// control goroutine when the source is co-hosted.
+	staged [][]core.Message
 }
 
 // bootMode selects how a node enters the cluster.
@@ -274,9 +303,9 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 		peerSeq:   make([]uint64, total),
 		streams:   make([]*senderStream, total),
 		system:    actor.NewSystem(fmt.Sprintf("node-%d", id), actor.RestartPolicy{}),
-		ackCh:     make(chan int64, cfg.Computers),
 		eosCh:     make(chan eosMark, 4*total+4),
-		failCh:    make(chan error, total+cfg.Computers+1),
+		failCh:    make(chan error, total+1),
+		staged:    make([][]core.Message, len(spec.ivs)),
 		begunStep: -1,
 	}
 	if c, ok := spec.prog.(core.Combiner); ok {
@@ -292,14 +321,6 @@ func startNode(ctx context.Context, spec nodeSpec) (*node, error) {
 	if err := n.installRouting(spec.owners); err != nil {
 		n.close()
 		return nil, err
-	}
-
-	// Computing actors must exist before any peer traffic can arrive.
-	n.toComp = make([]*actor.Mailbox[compMsg], cfg.Computers)
-	for i := range n.toComp {
-		n.toComp[i] = actor.NewMailbox[compMsg](64)
-		w := &nodeComputer{node: n, id: i}
-		n.system.Spawn(fmt.Sprintf("node-%d-computer-%d", id, i), w)
 	}
 
 	// Data listener for incoming peer connections.
@@ -366,10 +387,19 @@ func (n *node) installRouting(owners []int) error {
 	return nil
 }
 
-// ivOf returns the interval containing vertex v.
+// ivOf returns the interval containing vertex v: a binary search for the
+// last interval whose first vertex is <= v.
 func (n *node) ivOf(v int64) int {
-	// ivBounds is sorted; find the last bound <= v.
-	return sort.Search(len(n.ivs), func(i int) bool { return n.ivBounds[i+1] > v })
+	lo, hi := 0, len(n.ivs)-1
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if n.ivBounds[mid] <= v {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
 }
 
 func (n *node) close() {
@@ -387,10 +417,6 @@ func (n *node) close() {
 		if p != nil {
 			closeQuietly(p)
 		}
-	}
-	for _, mb := range n.toComp {
-		mb.TryPut(compMsg{done: true})
-		mb.Close()
 	}
 	n.system.Wait() //nolint:errcheck
 	if n.vf != nil {
@@ -416,7 +442,7 @@ func (n *node) acceptLoop() {
 	}
 }
 
-// receive folds one peer's frames into the local computers. A clean read
+// receive stages one peer's data frames for the barrier. A clean read
 // error ends the receiver silently: with sender-side reconnect a dropped
 // connection is routine — the peer redials, a fresh receiver takes over,
 // and the stream's sequence numbers absorb the overlap. A corrupt frame
@@ -480,8 +506,10 @@ func (n *node) receive(c *conn) {
 }
 
 // deliverData feeds one data frame into the sender's reassembly stream,
-// releasing any frames that are now in order. Frames from a round older
-// than the gate (an aborted attempt's stragglers) are dropped.
+// releasing any frames that are now in order: a batch is staged under
+// its source interval, an end-of-stream marker goes to the barrier.
+// Frames from a round older than the gate (an aborted attempt's
+// stragglers) are dropped.
 func (n *node) deliverData(sender int, round, seq uint64, fr streamFrame) {
 	if round < n.round.Load() {
 		return
@@ -514,7 +542,7 @@ func (n *node) deliverData(sender int, round, seq uint64, fr streamFrame) {
 		if f.eos {
 			n.eosCh <- eosMark{sender: sender, round: s.round} //lint:actorshare eosCh is buffered past one mark per peer per in-flight round, and rollback drains it
 		} else {
-			n.routeLocal(s.round, f.src, f.batch)
+			n.staged[f.src] = append(n.staged[f.src], f.batch...)
 		}
 	}
 }
@@ -526,34 +554,6 @@ func (n *node) reportFailure(err error) {
 	case n.failCh <- err:
 	default:
 	}
-}
-
-// routeLocal distributes a batch generated by source interval src across
-// the node's computing actors. Both the wire path (receive) and the
-// co-hosted loopback path (flushCross in dispatchInterval) come through
-// here, so a batch is split across workers identically whether its
-// source interval lives on this node or another — the property that
-// keeps results bit-identical across migrations.
-func (n *node) routeLocal(round uint64, src int, batch []core.Message) {
-	if len(n.toComp) == 1 {
-		n.toComp[0].Put(compMsg{src: src, round: round, batch: batch}) //nolint:errcheck
-		return
-	}
-	parts := make([][]core.Message, len(n.toComp))
-	for _, m := range batch {
-		w := int(m.Dst) % len(n.toComp)
-		parts[w] = append(parts[w], m)
-	}
-	for w, p := range parts {
-		if len(p) > 0 {
-			n.toComp[w].Put(compMsg{src: src, round: round, batch: p}) //nolint:errcheck
-		}
-	}
-}
-
-// ownerOf returns the node currently hosting vertex v's interval.
-func (n *node) ownerOf(v graph.VertexID) int {
-	return n.owners[n.ivOf(int64(v))]
 }
 
 // runNode executes the node's control loop until HALT. Failures are
@@ -731,11 +731,12 @@ func (n *node) stepOutcome(step int64, err error) error {
 
 // rollbackStep discards every trace of the aborted superstep attempt:
 // the round gate advances (in-flight stragglers drop on arrival), the
-// peer streams reset, the computers quiesce their staged batches, the
-// barrier bookkeeping drains, and the value file rolls back to the start
-// of step — via Rollback if this node was mid-step, via Rewind if it had
-// already committed before the failure was detected elsewhere, or not at
-// all if it never began the step (the file is already at its start).
+// peer streams reset, the partial accumulators and staged runs are
+// dropped, the barrier bookkeeping drains, and the value file rolls back
+// to the start of step — via Rollback if this node was mid-step, via
+// Rewind if it had already committed before the failure was detected
+// elsewhere, or not at all if it never began the step (the file is
+// already at its start).
 func (n *node) rollbackStep(step int64, newRound uint64) error {
 	n.round.Store(newRound)
 	for _, s := range n.streams {
@@ -747,20 +748,19 @@ func (n *node) rollbackStep(step int64, newRound uint64) error {
 		}
 		s.mu.Unlock()
 	}
-	// Quiesce the computers. The marker lands behind any stale batch in
-	// the FIFO mailboxes (deliverData publishes under the stream lock the
-	// reset above just held, so nothing stale can be enqueued after it).
-	for _, mb := range n.toComp {
-		q := make(chan struct{})
-		if err := mb.Put(compMsg{quiesce: q}); err != nil {
-			return err
-		}
-		<-q
+	// Receivers stage only under their stream's lock, after the round
+	// check; each stream has just been held and reset past the old
+	// round, so nothing of the aborted attempt can be staged after this
+	// point and the fold state can be dropped without a race.
+	for d := range n.accs {
+		n.accs[d].reset()
+	}
+	for src := range n.staged {
+		n.staged[src] = n.staged[src][:0]
 	}
 	for drained := false; !drained; {
 		select {
 		case <-n.eosCh:
-		case <-n.ackCh:
 		case <-n.failCh:
 		default:
 			drained = true
@@ -863,6 +863,11 @@ func (n *node) sendPeer(p int, kind byte, payload []byte) error {
 		if err = n.peers[p].writeFrame(kind, payload); err == nil {
 			return nil
 		}
+		// The connection is broken: forget it, so that a later send —
+		// the retried superstep's, when reconnect is disabled — dials
+		// afresh instead of writing into a closed socket.
+		closeQuietly(n.peers[p])
+		n.peers[p] = nil
 		if n.cfg.PeerRedials < 0 {
 			return stepFailf("cluster: node %d: peer %d write failed (reconnect disabled): %w", n.id, p, err)
 		}
@@ -900,9 +905,6 @@ func (n *node) sendPeer(p int, kind byte, payload []byte) error {
 			err = derr
 			continue
 		}
-		if n.peers[p] != nil {
-			closeQuietly(n.peers[p])
-		}
 		n.peers[p] = c
 		return nil
 	}
@@ -920,10 +922,10 @@ func (n *node) sendData(p int, kind byte, payload []byte) error {
 
 // dispatchPhase streams every interval this node hosts, in ascending
 // interval order, then signals end-of-stream to every member peer and
-// DISPATCH_OVER. Batch formation happens per source interval with fresh
-// buffers (dispatchInterval), so batch boundaries and combine groups
-// depend only on the fixed partition — routing decides where a batch
-// goes, never how it is formed.
+// DISPATCH_OVER. Each source interval folds into the per-destination-
+// interval accumulators and drains them before the next one starts
+// (dispatchInterval), so every run depends only on the fixed partition —
+// routing decides where a run goes, never what it holds.
 func (n *node) dispatchPhase(step int64, round uint64) error {
 	if err := n.vf.Begin(step, !n.cfg.DisableSync); err != nil {
 		return err
@@ -931,6 +933,16 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 	n.begunStep = step
 	for i := range n.peerSeq {
 		n.peerSeq[i] = 0
+	}
+	if n.accs == nil {
+		n.accs = make([]destAcc, len(n.ivs))
+		if n.combiner != nil {
+			for d, iv := range n.ivs {
+				size := iv.EndVertex - iv.FirstVertex
+				n.accs[d].vals = make([]uint64, size)
+				n.accs[d].bits = make([]uint64, (size+63)/64)
+			}
+		}
 	}
 	var generated, delivered int64
 	for iv := range n.ivs {
@@ -950,49 +962,19 @@ func (n *node) dispatchPhase(step int64, round uint64) error {
 			return stepFailf("cluster: node %d EOS to %d: %w", n.id, i, err)
 		}
 	}
-	n.statsMsgs += generated
 	return n.coord.writeFrame(fDispatchOver, u64Payload(uint64(step), uint64(generated), uint64(delivered)))
 }
 
-// dispatchInterval streams one hosted interval src. Messages staying
-// inside src split directly across the local computing actors; messages
-// crossing into another interval d buffer per destination interval and
-// flush either over the wire to d's owner or through the loopback
-// (routeLocal) when d is co-hosted. A destination vertex belongs to
-// exactly one interval, so its messages always take the same path shape
-// and fold in the same order regardless of which node hosts what.
+// dispatchInterval streams hosted interval src, folding every generated
+// message into the accumulator of its destination interval, then drains
+// the accumulators: runs bound for other nodes go out first, so the wire
+// carries them while the co-hosted runs are staged. A destination
+// vertex's messages from src therefore fold in generation order into one
+// message, whichever node hosts which interval.
 func (n *node) dispatchInterval(step int64, round uint64, src int, generated, delivered *int64) error {
 	col := vertexfile.DispatchCol(step)
 	weighted := n.gf.Weighted()
 	cur := n.gf.Cursor(n.ivs[src])
-
-	local := make([][]core.Message, len(n.toComp))
-	cross := make([][]core.Message, len(n.ivs))
-
-	flushLocal := func(w int) error {
-		b := local[w]
-		local[w] = nil
-		if n.combiner != nil {
-			b = core.CombineBatch(b, n.combiner)
-		}
-		*delivered += int64(len(b))
-		return n.toComp[w].Put(compMsg{src: src, round: round, batch: b})
-	}
-	flushCross := func(d int) error {
-		b := cross[d]
-		cross[d] = nil
-		if n.combiner != nil {
-			b = core.CombineBatch(b, n.combiner)
-		}
-		*delivered += int64(len(b))
-		owner := n.owners[d]
-		if owner == n.id {
-			n.routeLocal(round, src, b)
-			return nil
-		}
-		return n.sendData(owner, fBatch, batchPayload(round, n.peerSeq[owner]+1, uint32(src), b))
-	}
-
 	for {
 		v, deg, edges, ok := cur.Next()
 		if !ok {
@@ -1013,21 +995,9 @@ func (n *node) dispatchInterval(step int64, round uint64, src int, generated, de
 				continue
 			}
 			*generated++
-			d := n.ivOf(int64(dst))
-			if d == src {
-				wkr := int(dst) % len(n.toComp)
-				local[wkr] = append(local[wkr], core.Message{Dst: dst, Val: msgVal})
-				if len(local[wkr]) >= n.cfg.BatchSize {
-					if err := flushLocal(wkr); err != nil {
-						return err
-					}
-				}
-			} else {
-				cross[d] = append(cross[d], core.Message{Dst: dst, Val: msgVal})
-				if len(cross[d]) >= n.cfg.BatchSize {
-					if err := flushCross(d); err != nil {
-						return err
-					}
+			if d := n.fold(dst, msgVal); n.combiner == nil && n.accs[d].count >= maxRunMsgs {
+				if err := n.flushAcc(round, src, d, delivered); err != nil {
+					return err
 				}
 			}
 		}
@@ -1036,32 +1006,74 @@ func (n *node) dispatchInterval(step int64, round uint64, src int, generated, de
 	if err := cur.Err(); err != nil {
 		return err
 	}
-	for w := range local {
-		if len(local[w]) > 0 {
-			if err := flushLocal(w); err != nil {
-				return err
-			}
-		}
-	}
-	for d := range cross {
-		if len(cross[d]) > 0 {
-			if err := flushCross(d); err != nil {
-				return err
+	for _, local := range []bool{false, true} {
+		for d := range n.accs {
+			if n.accs[d].count > 0 && (n.owners[d] == n.id) == local {
+				if err := n.flushAcc(round, src, d, delivered); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// barrierPhase waits for every peer's end-of-stream, folds the staged
-// batches, commits the superstep, and acknowledges the coordinator. Peer
-// disconnects and computing-actor failures unwind the wait as step
-// failures instead of deadlocking it.
+// fold adds one message generated by the interval being dispatched to
+// the accumulator of dst's interval, combining it into the vertex's
+// slot when the program has a Combiner, and returns that interval.
+//
+//gpsa:noalloc
+func (n *node) fold(dst graph.VertexID, val uint64) int {
+	d := n.ivOf(int64(dst))
+	a := &n.accs[d]
+	if n.combiner == nil {
+		//lint:noalloc the list's backing array is reused across flushes and supersteps; it grows only until it first reaches maxRunMsgs
+		a.list = append(a.list, core.Message{Dst: dst, Val: val})
+		a.count++
+		return d
+	}
+	i := int64(dst) - n.ivBounds[d]
+	word, bit := i>>6, uint64(1)<<uint(i&63)
+	if a.bits[word]&bit != 0 {
+		a.vals[i] = n.combiner.CombineMsg(a.vals[i], val)
+		return d
+	}
+	a.bits[word] |= bit
+	a.vals[i] = val
+	a.count++
+	return d
+}
+
+// flushAcc drains destination interval d's accumulator into one run of
+// source interval src: staged directly when d is co-hosted, sent as
+// BATCH frames of at most maxRunMsgs messages otherwise.
+func (n *node) flushAcc(round uint64, src, d int, delivered *int64) error {
+	a, first, owner := &n.accs[d], n.ivBounds[d], n.owners[d]
+	*delivered += int64(a.count)
+	if owner == n.id {
+		n.staged[src] = a.drain(n.staged[src], first)
+		return nil
+	}
+	n.runBuf = a.drain(n.runBuf[:0], first)
+	for run := n.runBuf; len(run) > 0; {
+		k := min(len(run), maxRunMsgs)
+		if err := n.sendData(owner, fBatch, batchPayload(round, n.peerSeq[owner]+1, uint32(src), run[:k])); err != nil {
+			return err
+		}
+		run = run[k:]
+	}
+	return nil
+}
+
+// barrierPhase waits for every peer's end-of-stream, applies the staged
+// runs, commits the superstep, and acknowledges the coordinator. Peer
+// disconnects and corrupt streams unwind the wait as step failures
+// instead of deadlocking it.
 func (n *node) barrierPhase(step int64) error {
 	round := n.round.Load()
-	// One budget for the whole barrier: a lost peer (no end-of-stream)
-	// or a wedged computer fails the superstep with a labelled error
-	// instead of blocking the cluster forever.
+	// One budget for the wait: a lost peer (no end-of-stream) fails the
+	// superstep with a labelled error instead of blocking the cluster
+	// forever.
 	var timeoutC <-chan time.Time
 	if n.cfg.BarrierTimeout > 0 {
 		tm := time.NewTimer(n.cfg.BarrierTimeout)
@@ -1082,21 +1094,9 @@ func (n *node) barrierPhase(step int64) error {
 			return stepFailf("cluster: node %d: superstep %d compute barrier timed out after %v waiting for peer end-of-stream", n.id, step, n.cfg.BarrierTimeout)
 		}
 	}
-	for _, mb := range n.toComp {
-		if err := mb.Put(compMsg{barrier: true, round: round}); err != nil {
-			return err
-		}
-	}
-	var updates int64
-	for range n.toComp {
-		select {
-		case u := <-n.ackCh:
-			updates += u
-		case err := <-n.failCh:
-			return stepFailure{err: err}
-		case <-timeoutC:
-			return stepFailf("cluster: node %d: superstep %d compute barrier timed out after %v waiting for computer acks", n.id, step, n.cfg.BarrierTimeout)
-		}
+	updates, err := n.apply(step)
+	if err != nil {
+		return err
 	}
 	if fault.Error(fault.SiteNodeKillBarrier) != nil {
 		return fmt.Errorf("cluster: node %d mid-barrier: %w", n.id, errNodeKilled)
@@ -1108,98 +1108,20 @@ func (n *node) barrierPhase(step int64) error {
 	return n.coord.writeFrame(fComputeOver, u64Payload(uint64(step), uint64(updates)))
 }
 
-func (n *node) sendValues(iv int) error {
-	if iv < 0 || iv >= len(n.ivs) || n.owners[iv] != n.id {
-		return fmt.Errorf("cluster: node %d asked for values of interval %d it does not host", n.id, iv)
-	}
-	first, end := n.ivs[iv].FirstVertex, n.ivs[iv].EndVertex
-	payloads := make([]uint64, 0, end-first)
-	for v := first; v < end; v++ {
-		payloads = append(payloads, n.vf.Value(v))
-	}
-	return n.coord.writeFrame(fValues, valuesPayload(first, payloads))
-}
-
-// nodeComputer is the node-local computing actor (paper Algorithm 3, with
-// remote batches arriving through the same mailbox). Unlike the
-// single-machine engine it does not fold messages the moment they
-// arrive: arrival order across peers is a race, and a bit-identical
-// retry needs a deterministic fold. Batches are staged per SOURCE
-// INTERVAL — each source's stream is already in deterministic (dispatch)
-// order — and folded at the barrier in ascending interval order. Keying
-// by interval rather than node id is what makes the fold invariant under
-// elastic membership: migrating an interval changes which node's stream
-// carries its batches, never the staging slot or fold position. For
-// combinable programs staged runs are compacted eagerly with the stable
-// combiner, so the dispatch/compute overlap still does the combining
-// work in-flight.
-type nodeComputer struct {
-	node    *node
-	id      int
-	updates int64
-	staged  [][]core.Message // indexed by source interval
-}
-
-// Execute runs the computing actor loop. Panics in the vertex program are
-// converted to failures so the node's barrier can unwind.
-func (c *nodeComputer) Execute() (err error) {
+// apply runs Compute over the staged runs, source interval by source
+// interval in ascending order — the fold order that keeps results
+// bit-identical under any assignment of intervals to nodes — and empties
+// the staging for the next superstep. A panic in the vertex program
+// fails the step instead of killing the node.
+func (n *node) apply(step int64) (updates int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: node %d computer %d: panic: %v", c.node.id, c.id, r)
-			c.node.reportFailure(err)
+			err = stepFailf("cluster: node %d: superstep %d compute: panic: %v", n.id, step, r)
 		}
 	}()
-	n := c.node
-	c.staged = make([][]core.Message, len(n.ivs))
-	for {
-		m, ok := n.toComp[c.id].Get()
-		if !ok || m.done {
-			return nil
-		}
-		if m.quiesce != nil {
-			for i := range c.staged {
-				c.staged[i] = nil
-			}
-			c.updates = 0
-			close(m.quiesce)
-			continue
-		}
-		if m.barrier {
-			if m.round == n.round.Load() {
-				c.apply()
-			}
-			//lint:ctxblock ackCh is buffered to the computer count, so one ack per barrier can never block
-			n.ackCh <- c.updates //lint:actorshare ackCh is buffered to the computer count, so one ack per barrier can never block
-			c.updates = 0
-			continue
-		}
-		if m.round < n.round.Load() {
-			continue // straggler from an aborted attempt
-		}
-		c.staged[m.src] = append(c.staged[m.src], m.batch...)
-		if n.combiner != nil && len(c.staged[m.src]) >= 2*n.cfg.BatchSize {
-			c.staged[m.src] = core.CombineBatch(c.staged[m.src], n.combiner)
-		}
-	}
-}
-
-// apply folds the staged batches into the update column, source interval
-// by source interval in ascending order — the deterministic,
-// membership-invariant fold the staging exists for.
-func (c *nodeComputer) apply() {
-	n := c.node
-	step := n.vf.Epoch()
 	dcol, ucol := vertexfile.DispatchCol(step), vertexfile.UpdateCol(step)
-	for snd := range c.staged {
-		b := c.staged[snd]
-		c.staged[snd] = nil
-		if len(b) == 0 {
-			continue
-		}
-		if n.combiner != nil {
-			b = core.CombineBatch(b, n.combiner)
-		}
-		for _, msg := range b {
+	for src, run := range n.staged {
+		for _, msg := range run {
 			v := int64(msg.Dst)
 			slot := n.vf.Load(ucol, v)
 			first := vertexfile.Stale(slot)
@@ -1212,8 +1134,22 @@ func (c *nodeComputer) apply() {
 			newVal, changed := n.prog.Compute(v, cur, msg.Val, first)
 			if changed {
 				n.vf.Store(ucol, v, vertexfile.Pack(newVal, false))
-				c.updates++
+				updates++
 			}
 		}
+		n.staged[src] = run[:0]
 	}
+	return updates, nil
+}
+
+func (n *node) sendValues(iv int) error {
+	if iv < 0 || iv >= len(n.ivs) || n.owners[iv] != n.id {
+		return fmt.Errorf("cluster: node %d asked for values of interval %d it does not host", n.id, iv)
+	}
+	first, end := n.ivs[iv].FirstVertex, n.ivs[iv].EndVertex
+	payloads := make([]uint64, 0, end-first)
+	for v := first; v < end; v++ {
+		payloads = append(payloads, n.vf.Value(v))
+	}
+	return n.coord.writeFrame(fValues, valuesPayload(first, payloads))
 }

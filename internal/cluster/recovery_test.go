@@ -216,3 +216,49 @@ func TestClusterHeartbeatsKeepSlowNodeAlive(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterRollbackDropsPartialFold fails a superstep after part of a
+// node's fold has been flushed: one data frame of superstep 1 is dropped
+// with reconnect disabled, so the sender fails the step with its other
+// accumulators still holding messages and its peer holding the runs that
+// did arrive. The retry must start from nothing — no partial accumulator
+// and no staged run of the aborted attempt may survive — and end bit-
+// identical to an undisturbed run of the same configuration.
+func TestClusterRollbackDropsPartialFold(t *testing.T) {
+	g := rmat(t, 300, 2000, 37)
+	path := save(t, g)
+	cfg := cluster.Config{
+		Nodes:         2,
+		Splits:        2,
+		MaxSupersteps: 4,
+		StepRetries:   1,
+		Node:          cluster.NodeConfig{PeerRedials: -1},
+	}
+	_, want, err := cluster.Run(path, algorithms.PageRank{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Superstep 0 writes 12 data-plane frames: 2 peer hellos, then per
+	// node 2 source intervals x 2 remote runs and one end-of-stream.
+	// Hit 14 is therefore the second run frame of superstep 1.
+	plan := fault.NewPlan(0, fault.Injection{Site: fault.SiteConnDrop, After: 14})
+	fault.Activate(plan)
+	defer fault.Deactivate()
+	res, values, err := cluster.Run(path, algorithms.PageRank{}, cfg)
+	fault.Deactivate()
+	if err != nil {
+		t.Fatalf("run with a dropped frame failed: %v", err)
+	}
+	if plan.Fired(fault.SiteConnDrop) == 0 {
+		t.Fatal("drop site never fired; the test exercised nothing")
+	}
+	if res.Rollbacks == 0 {
+		t.Fatal("the dropped frame did not fail the superstep")
+	}
+	for v := range want {
+		if values[v] != want[v] {
+			t.Fatalf("vertex %d: %#x, want %#x (retry not bit-identical)", v, values[v], want[v])
+		}
+	}
+}

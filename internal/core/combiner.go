@@ -10,25 +10,15 @@ type Combiner interface {
 	CombineMsg(a, b uint64) uint64
 }
 
-// CombineBatch sorts a batch by destination and merges duplicates with
-// the combiner. It returns the (shortened) batch. It is exported for the
-// distributed engine (package cluster), which combines before putting
-// batches on the wire.
+// combineScratch sorts a batch by destination, using caller-owned
+// workspace (cap >= len(batch)), and merges duplicates with the
+// combiner, returning the shortened batch. The dispatcher's legacy path
+// runs it with pooled scratch so in-engine combining allocates nothing.
 //
 // The sort is stable so same-destination messages fold in generation
 // order — the same left-fold the source-side accumulators perform —
 // keeping the legacy path deterministic and alignable with them even for
 // non-commutative combiners and float sums.
-func CombineBatch(batch []Message, c Combiner) []Message {
-	if len(batch) < 2 {
-		return batch
-	}
-	return combineScratch(batch, make([]Message, len(batch)), c)
-}
-
-// combineScratch is CombineBatch against caller-owned sort workspace
-// (cap >= len(batch)): the dispatcher's legacy path runs it with pooled
-// scratch so in-engine combining allocates nothing.
 func combineScratch(batch, scratch []Message, c Combiner) []Message {
 	if len(batch) < 2 {
 		return batch

@@ -72,9 +72,9 @@ func (minComb) CombineMsg(a, b uint64) uint64 {
 	return b
 }
 
-// Property: combineBatch preserves the per-destination fold (min) and
+// Property: combineScratch preserves the per-destination fold (min) and
 // never grows the batch.
-func TestCombineBatchProperty(t *testing.T) {
+func TestCombineScratchProperty(t *testing.T) {
 	fn := func(dsts []uint8, vals []uint16) bool {
 		n := len(dsts)
 		if len(vals) < n {
@@ -90,7 +90,7 @@ func TestCombineBatchProperty(t *testing.T) {
 				want[d] = v
 			}
 		}
-		out := CombineBatch(batch, minComb{})
+		out := combineScratch(batch, make([]Message, n), minComb{})
 		if len(out) > n || len(out) != len(want) {
 			return false
 		}

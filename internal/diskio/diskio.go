@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -83,7 +84,8 @@ func isFull(err error) bool {
 // Classify wraps a storage error with its typed class: ErrDiskFull for
 // out-of-space errnos, ErrIOFailure for everything else. op names the
 // failed operation ("write", "sync", "create", ...) and decides the
-// accounting: write-path ops count into disk.write_errors. A nil err
+// accounting: write-path ops count into disk.write_errors, except a
+// missing file (fs.ErrNotExist), which is not a disk failure. A nil err
 // returns nil, and an already-classified error passes through
 // unchanged, so callers can wrap unconditionally.
 func Classify(op, path string, err error) error {
@@ -102,9 +104,9 @@ func Classify(op, path string, err error) error {
 }
 
 func classify(class error, op, path string, err error) error {
-	switch op {
-	case "read":
-	default:
+	// A missing file is an answer, not a disk failure: read-only probes
+	// open paths that may not exist yet.
+	if op != "read" && !errors.Is(err, fs.ErrNotExist) {
 		metrics.Inc(metrics.CtrDiskWriteErrors)
 	}
 	if class == ErrDiskFull {

@@ -3,6 +3,7 @@ package diskio
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -256,5 +257,29 @@ func TestClassifyPassthrough(t *testing.T) {
 	}
 	if again := Classify("sync", "p", err); again != err {
 		t.Fatalf("already-classified error must pass through")
+	}
+}
+
+// TestMissingFileIsNotAWriteError pins the failure accounting: a read-
+// only probe of a path that does not exist yet is an answer, not a disk
+// failure, so disk.write_errors must not move — while an armed
+// disk.enospc.create on the same path still counts.
+func TestMissingFileIsNotAWriteError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing")
+	before := metrics.Counter(metrics.CtrDiskWriteErrors)
+	_, err := OpenRaw(path, os.O_RDONLY, 0)
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenRaw of a missing path: got %v, want fs.ErrNotExist", err)
+	}
+	if got := metrics.Counter(metrics.CtrDiskWriteErrors); got != before {
+		t.Fatalf("disk.write_errors moved %d -> %d on a missing file", before, got)
+	}
+
+	armOne(t, fault.SiteDiskENOSPCCreate)
+	if _, err := Create(path); !errors.Is(err, ErrDiskFull) {
+		t.Fatalf("Create under enospc.create: got %v, want ErrDiskFull", err)
+	}
+	if got := metrics.Counter(metrics.CtrDiskWriteErrors); got != before+1 {
+		t.Fatalf("disk.write_errors = %d after an injected ENOSPC, want %d", got, before+1)
 	}
 }

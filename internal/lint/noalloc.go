@@ -46,7 +46,8 @@ import (
 //
 // The analyzer also enforces pragma coverage: the functions listed in
 // noallocRequired — the dispatcher edge loop, the accumulator
-// fold/flush, BulkApply, frame encode/decode, and the pool's Get/Put —
+// fold/flush, BulkApply, frame encode/decode, the cluster node's fold
+// and drain, and the pool's Get/Put —
 // must carry the pragma, so deleting an annotation (or renaming a hot
 // function away from its annotation) fails the gate instead of silently
 // shrinking the checked set.
@@ -70,7 +71,7 @@ const NoallocPragma = "//gpsa:noalloc"
 // "(*T).name" / "T.name", package functions plain "name". The list is
 // the hot-path manifest: deleting a pragma from any of these — or
 // renaming the function away from its annotation — is a lint failure,
-// pinned by TestNoallocPragmaDeletionFails.
+// pinned by the TestDeleting*PragmaFailsGate tests.
 var noallocRequired = map[string][]string{
 	"internal/core": {
 		"(*dispatcher).runSuperstep",
@@ -105,6 +106,8 @@ var noallocRequired = map[string][]string{
 	"internal/cluster": {
 		"(*conn).writeFrame",
 		"readFrameFrom",
+		"(*node).fold",
+		"(*destAcc).drain",
 	},
 }
 

@@ -19,11 +19,25 @@ import (
 // produce an unsuppressed "must carry a //gpsa:noalloc pragma"
 // finding on the real tree.
 func TestDeletingDispatcherPragmaFailsGate(t *testing.T) {
+	assertPragmaDeletionFails(t, "repro/internal/core", "dispatcher.go", 5)
+}
+
+// The cluster node's per-edge fold and its drain are pinned the same
+// way: deleting either pragma from node.go must fail the gate.
+func TestDeletingClusterFoldPragmaFailsGate(t *testing.T) {
+	assertPragmaDeletionFails(t, "repro/internal/cluster", "node.go", 2)
+}
+
+// assertPragmaDeletionFails checks that pkgPath has no unsuppressed
+// noalloc finding, that file carries at least minPragmas pragmas, and
+// that deleting any one of them yields a missing-pragma finding.
+func assertPragmaDeletionFails(t *testing.T, pkgPath, file string, minPragmas int) {
+	t.Helper()
 	loader, err := lint.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.Load("repro/internal/core")
+	pkg, err := loader.Load(pkgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +53,8 @@ func TestDeletingDispatcherPragmaFailsGate(t *testing.T) {
 		t.Fatalf("baseline: %d unsuppressed noalloc findings on the committed tree, want 0", len(diags))
 	}
 
-	dispatcherPath := filepath.Join(pkg.Dir, "dispatcher.go")
-	src, err := os.ReadFile(dispatcherPath)
+	path := filepath.Join(pkg.Dir, file)
+	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,31 +65,31 @@ func TestDeletingDispatcherPragmaFailsGate(t *testing.T) {
 			pragmaLines = append(pragmaLines, i)
 		}
 	}
-	if len(pragmaLines) < 5 {
-		t.Fatalf("dispatcher.go carries %d %s pragmas, expected at least 5 — did the dispatch loop move?", len(pragmaLines), lint.NoallocPragma)
+	if len(pragmaLines) < minPragmas {
+		t.Fatalf("%s carries %d %s pragmas, expected at least %d — did the hot path move?", file, len(pragmaLines), lint.NoallocPragma, minPragmas)
 	}
 
-	// Locate dispatcher.go's parsed file so we can swap it out.
-	dispatcherIdx := -1
+	// Locate the file's parsed AST so we can swap it out.
+	fileIdx := -1
 	for i, f := range pkg.Files {
-		if loader.Fset.Position(f.Pos()).Filename == dispatcherPath {
-			dispatcherIdx = i
+		if loader.Fset.Position(f.Pos()).Filename == path {
+			fileIdx = i
 		}
 	}
-	if dispatcherIdx < 0 {
-		t.Fatalf("dispatcher.go not among loaded files of %s", pkg.Path)
+	if fileIdx < 0 {
+		t.Fatalf("%s not among loaded files of %s", file, pkg.Path)
 	}
 
 	for _, del := range pragmaLines {
 		mutated := make([]string, 0, len(lines)-1)
 		mutated = append(mutated, lines[:del]...)
 		mutated = append(mutated, lines[del+1:]...)
-		f, err := parser.ParseFile(loader.Fset, dispatcherPath, strings.Join(mutated, "\n"), parser.ParseComments)
+		f, err := parser.ParseFile(loader.Fset, path, strings.Join(mutated, "\n"), parser.ParseComments)
 		if err != nil {
 			t.Fatalf("pragma at line %d: reparse: %v", del+1, err)
 		}
 		files := append([]*ast.File(nil), pkg.Files...)
-		files[dispatcherIdx] = f
+		files[fileIdx] = f
 		tpkg, info, err := lint.CheckFiles(loader.Fset, pkg.Path, files, loader)
 		if err != nil {
 			t.Fatalf("pragma at line %d: recheck: %v", del+1, err)
@@ -90,7 +104,7 @@ func TestDeletingDispatcherPragmaFailsGate(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("deleting the pragma at dispatcher.go:%d produced no missing-pragma finding; the gate would silently stop checking that function", del+1)
+			t.Errorf("deleting the pragma at %s:%d produced no missing-pragma finding; the gate would silently stop checking that function", file, del+1)
 		}
 	}
 }

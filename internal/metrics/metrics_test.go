@@ -22,32 +22,45 @@ func TestProcessCPUTimeMonotone(t *testing.T) {
 	}
 }
 
+// TestMeasureCPUDetectsParallelBurn holds the sampler to what it owns:
+// process-wide CPU accounting. Each burner locks its OS thread and spins
+// until that thread's own CPU clock has advanced by a fixed amount, so
+// the total burned is known however the scheduler overlaps the burners;
+// a sampler that missed any thread (one counting only the calling
+// thread, say) would report far less than that total.
 func TestMeasureCPUDetectsParallelBurn(t *testing.T) {
-	if ProcessCPUTime() == 0 {
-		t.Skip("ProcessCPUTime unavailable")
+	if ProcessCPUTime() == 0 || threadCPUTime() == 0 {
+		t.Skip("process or thread CPU clock unavailable")
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 4 {
-		workers = 4
-	}
+	const workers, perWorker = 3, 40 * time.Millisecond
+	burned := make([]time.Duration, workers)
 	s := MeasureCPU(func() {
 		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
+		for i := range burned {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				burn(60 * time.Millisecond)
+				runtime.LockOSThread()
+				defer runtime.UnlockOSThread()
+				start := threadCPUTime()
+				for burned[i] < perWorker {
+					burn(time.Millisecond)
+					burned[i] = threadCPUTime() - start
+				}
 			}()
 		}
 		wg.Wait()
 	})
-	if s.Wall <= 0 || s.CPU <= 0 {
-		t.Fatalf("sample = %+v", s)
+	var total time.Duration
+	for _, b := range burned {
+		total += b
 	}
-	// With `workers` busy goroutines, average busy cores should clearly
-	// exceed one (allowing heavy scheduler noise).
-	if workers >= 2 && s.Cores < 1.2 {
-		t.Fatalf("measured %.2f busy cores with %d burners", s.Cores, workers)
+	// The process clock is reported in microseconds; allow that rounding.
+	if s.CPU+time.Millisecond < total {
+		t.Fatalf("sampler saw %v of CPU, but the burners alone used %v", s.CPU, total)
+	}
+	if s.Wall <= 0 || s.Cores != s.CPU.Seconds()/s.Wall.Seconds() {
+		t.Fatalf("sample = %+v: Cores is not CPU/Wall", s)
 	}
 	if s.Percent < 0 || s.Percent > 110*float64(s.MaxCores) {
 		t.Fatalf("nonsense percent %g", s.Percent)
