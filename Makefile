@@ -92,8 +92,9 @@ vet:
 	$(GO) vet ./...
 	gofmt -l .
 
-# Message hot-path benchmark trajectory: every algorithm x accumulator
-# mode on a generated R-MAT power-law graph, written as a
+# Message hot-path benchmark trajectory: every algorithm on both message
+# paths (off = DisableCombining, dense = source-side accumulation) on a
+# generated R-MAT power-law graph, written as a
 # machine-readable BENCH_<rev>.json so successive revisions can be
 # compared (msgs/sec, supersteps/sec, alloc/msg, wall time per cell).
 bench:

@@ -326,7 +326,7 @@ func main() {
 		}
 		for _, algo := range []string{"pagerank", "deltapagerank", "bfs", "cc", "sssp"} {
 			if s, ok := rep.Speedup[algo]; ok {
-				fmt.Printf("speedup %-14s %.2fx vs legacy\n", algo, s)
+				fmt.Printf("speedup %-14s %.2fx dense vs off\n", algo, s)
 			}
 		}
 		if *jsonPath != "" {

@@ -78,7 +78,6 @@ func run() int {
 		watchdog    = flag.Duration("watchdog", 0, "abort a superstep when a worker is silent this long (0 = off)")
 		dump        = flag.String("dump", "", "write per-vertex results as 'vertex<TAB>value' lines to this file")
 		verbose     = flag.Bool("v", false, "print per-superstep progress")
-		accum       = flag.String("accum", "auto", "source-side accumulation for combiner programs: auto, dense, sparse, off")
 		accumBudget = flag.Int("accum-budget", 0, "accumulator bytes per (dispatcher, computer) before an incremental flush (0 = 256 KiB)")
 		prefetch    = flag.Bool("prefetch", false, "async CSR prefetch: madvise(WILLNEED) window ahead of each dispatcher, DONTNEED trail behind")
 		prefetchWin = flag.Int("prefetch-window", 0, "prefetch window bytes per dispatcher (0 = 8 MiB)")
@@ -114,10 +113,6 @@ exit codes:
 		fmt.Fprintln(os.Stderr, "gpsa: -resume requires -values")
 		return exitUsage
 	}
-	if _, err := gpsa.ParseAccumMode(*accum); err != nil {
-		fmt.Fprintf(os.Stderr, "gpsa: %v\n", err)
-		return exitUsage
-	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile, *tracefile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gpsa: %v\n", err)
@@ -149,7 +144,6 @@ exit codes:
 		ValuesPath:     *values,
 		StepRetries:    *retries,
 		Watchdog:       *watchdog,
-		Accum:          *accum,
 		AccumBudget:    *accumBudget,
 		Prefetch:       *prefetch,
 		PrefetchWindow: *prefetchWin,

@@ -123,10 +123,6 @@ type RunOptions struct {
 	Watchdog time.Duration
 	// Progress, when non-nil, receives per-superstep statistics.
 	Progress func(StepStats)
-	// Accum selects the source-side accumulation mode for combiner
-	// programs: "" or "auto" (adaptive per superstep), "dense", "sparse",
-	// or "off" (legacy per-message batches). See core.AccumMode.
-	Accum string
 	// AccumBudget is the per-(dispatcher, computer) accumulator size in
 	// bytes before an incremental mid-dispatch flush; 0 selects the
 	// engine default (256 KiB).
@@ -146,15 +142,7 @@ type RunOptions struct {
 	PrefetchWindow int
 }
 
-// ParseAccumMode validates an Accum option string ("", "auto", "dense",
-// "sparse", "off", "legacy"), for CLIs that want to fail fast on bad
-// flag values before opening files.
-func ParseAccumMode(s string) (core.AccumMode, error) { return core.ParseAccumMode(s) }
-
 func (o RunOptions) engineConfig() core.Config {
-	// An unknown Accum string falls back to auto here; CLIs validate
-	// eagerly with ParseAccumMode for a proper error.
-	mode, _ := core.ParseAccumMode(o.Accum)
 	return core.Config{
 		Dispatchers:      o.Dispatchers,
 		Computers:        o.Computers,
@@ -162,7 +150,6 @@ func (o RunOptions) engineConfig() core.Config {
 		MaxStepRetries:   o.StepRetries,
 		SuperstepTimeout: o.Watchdog,
 		Progress:         o.Progress,
-		AccumMode:        mode,
 		AccumBudget:      o.AccumBudget,
 		MailboxCap:       o.MailboxCap,
 		Prefetch:         o.Prefetch,

@@ -103,7 +103,7 @@ func TestRunAblations(t *testing.T) {
 		}
 		studies[r.Study]++
 	}
-	for _, want := range []string{"overlap", "reconcile", "durability", "io", "batch-size", "workers"} {
+	for _, want := range []string{"overlap", "reconcile", "durability", "io", batchSizeStudy, "workers"} {
 		if studies[want] < 2 {
 			t.Fatalf("study %q has %d variants", want, studies[want])
 		}

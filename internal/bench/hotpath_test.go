@@ -10,7 +10,7 @@ import (
 )
 
 // TestHotPathSmoke runs the full hot-path matrix at a tiny scale: every
-// algorithm on every mode must complete, produce consistent counters,
+// algorithm on both message paths must complete, produce consistent counters,
 // and the report must round-trip through JSON. This is the make
 // bench-smoke gate; the real measurement is make bench.
 func TestHotPathSmoke(t *testing.T) {
@@ -25,7 +25,7 @@ func TestHotPathSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := 5 * 4 // algorithms x modes
+	wantCells := 5 * 2 // algorithms x {off, dense}
 	if len(rep.Cells) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(rep.Cells), wantCells)
 	}
@@ -40,7 +40,7 @@ func TestHotPathSmoke(t *testing.T) {
 		if c.Delivered > c.Messages {
 			t.Fatalf("%s/%s: delivered %d > generated %d", c.Algo, c.Mode, c.Delivered, c.Messages)
 		}
-		// All modes generate the same messages for the same workload: the
+		// Both paths generate the same messages for the same workload: the
 		// message path must not change what the program emits.
 		if prev, ok := perAlgoMsgs[c.Algo]; ok && prev != c.Messages {
 			t.Fatalf("%s: mode %s generated %d messages, earlier mode %d", c.Algo, c.Mode, c.Messages, prev)
@@ -57,13 +57,13 @@ func TestHotPathSmoke(t *testing.T) {
 	// Allocation ceiling: the arena-pooled accumulator path measures
 	// under 1.3 B/msg even at this toy scale (where per-run fixed costs —
 	// actor spawn, mailboxes — dominate the short bfs message counts; at
-	// paper scale it is <0.01 B). An unpooled path re-allocates slabs and
-	// sparse tables every flush and lands in the tens of B/msg here, so a
-	// 4 B gate catches a pooling regression without tripping on GC noise.
+	// paper scale it is <0.01 B). An unpooled path re-allocates slabs
+	// every flush and lands in the tens of B/msg here, so a 4 B gate
+	// catches a pooling regression without tripping on GC noise.
 	const allocCeiling = 4.0 // bytes per message
 	for _, c := range rep.Cells {
 		if c.Mode == core.AccumOff.String() {
-			continue // legacy sort path is not arena-pooled
+			continue // the gate covers the accumulator path only
 		}
 		if c.AllocPerMsg > allocCeiling {
 			t.Fatalf("%s/%s: %.2f B/msg exceeds the %.1f B pooled-path ceiling",

@@ -1,189 +1,44 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/graph"
-)
-
-// AccumMode selects the dispatcher→computer message path for programs
-// that supply a Combiner. Instead of materialising a Message struct per
-// edge and combining only at batch boundaries, dispatchers can fold
-// messages in place into a per-(dispatcher, computer) accumulator and
-// hand whole accumulator segments to computing workers — collapsing
-// millions of mailbox messages into a handful of segment handoffs while
-// keeping the dispatch/compute overlap (segments flush incrementally on
-// a byte budget, not only at the barrier).
+// AccumMode reports the dispatcher→computer message path a superstep
+// ran (StepStats.Accum). Programs that supply a Combiner always take the
+// dense path: instead of materialising a Message struct per edge,
+// dispatchers fold messages in place into a per-(dispatcher, computer)
+// slab and hand whole slabs to computing workers — collapsing millions
+// of mailbox messages into a handful of segment handoffs while keeping
+// the dispatch/compute overlap (slabs flush incrementally on a byte
+// budget, not only at the barrier). Programs without a Combiner, and
+// runs with Config.DisableCombining, mail uncombined per-message
+// batches.
 type AccumMode int
 
 const (
-	// AccumAuto (the default) picks dense or sparse accumulation per
-	// superstep from the previous step's active-set count: a mostly
-	// active graph gets the dense slab, a trickle of active vertices the
-	// sparse table.
-	AccumAuto AccumMode = iota
-	// AccumDense forces the dense [] slab (one slot per owned vertex).
-	// Requires the default mod ownership; falls back to sparse otherwise.
+	// AccumOff is the per-message batch path: every generated message
+	// is delivered.
+	AccumOff AccumMode = iota
+	// AccumDense is source-side accumulation into dense slabs.
 	AccumDense
-	// AccumSparse forces the open-addressing sparse table.
-	AccumSparse
-	// AccumOff disables source-side accumulation: the legacy per-message
-	// batch path (also what non-combinable programs always use).
-	AccumOff
 )
 
 func (m AccumMode) String() string {
 	switch m {
-	case AccumAuto:
-		return "auto"
-	case AccumDense:
-		return "dense"
-	case AccumSparse:
-		return "sparse"
 	case AccumOff:
 		return "off"
+	case AccumDense:
+		return "dense"
 	}
 	return fmt.Sprintf("AccumMode(%d)", int(m))
 }
 
-// ParseAccumMode parses the command-line spelling of an accumulator mode.
-func ParseAccumMode(s string) (AccumMode, error) {
-	switch s {
-	case "", "auto":
-		return AccumAuto, nil
-	case "dense":
-		return AccumDense, nil
-	case "sparse":
-		return AccumSparse, nil
-	case "off", "legacy":
-		return AccumOff, nil
-	}
-	return AccumAuto, fmt.Errorf("core: unknown accumulator mode %q (want auto, dense, sparse or off)", s)
-}
-
 // denseSeg is one dense accumulator slab for a single computing worker:
 // vals[i] accumulates the combined message of the worker's i-th owned
-// vertex (vertex i*Computers + worker under mod ownership), bits marks
-// which slots are present. Slabs are engine-pooled: the dispatcher hands
-// the whole slab to the computer at a flush point and takes a fresh one.
+// vertex (vertex i*Computers + worker), bits marks which slots are
+// present. Slabs are engine-pooled: the dispatcher hands the whole slab
+// to the computer at a flush point and takes a fresh one.
 type denseSeg struct {
 	count int // present entries
 	vals  []uint64
 	bits  []uint64
-}
-
-// sparseAcc is an open-addressing (linear probing) accumulator table for
-// one computing worker, used when the active fraction is low. Keys are
-// dst+1 so the zero word means empty. Growth and probing are fully
-// deterministic, which keeps resumed and retried supersteps bit-identical.
-type sparseAcc struct {
-	keys  []uint64
-	vals  []uint64
-	n     int
-	shift uint // 64 - log2(len(keys)), for fibonacci hashing
-}
-
-const sparseMinCap = 64
-
-func newSparseAcc() *sparseAcc {
-	s := &sparseAcc{}
-	s.init(sparseMinCap)
-	return s
-}
-
-func (s *sparseAcc) init(capacity int) {
-	//lint:noalloc table construction is the arena's sanctioned cold path (free-list miss)
-	s.keys = make([]uint64, capacity)
-	//lint:noalloc table construction is the arena's sanctioned cold path (free-list miss)
-	s.vals = make([]uint64, capacity)
-	s.shift = 64
-	for c := capacity; c > 1; c >>= 1 {
-		s.shift--
-	}
-	s.n = 0
-}
-
-func sparseHash(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 }
-
-// insert folds (dst, val) into the table, combining with c when the
-// destination is already present. It reports whether the message was
-// folded into an existing entry (combined at the source).
-//
-//gpsa:noalloc
-func (s *sparseAcc) insert(dst graph.VertexID, val uint64, c Combiner) (folded bool) {
-	if 4*(s.n+1) > 3*len(s.keys) {
-		s.grow()
-	}
-	key := uint64(dst) + 1
-	mask := uint64(len(s.keys) - 1)
-	i := sparseHash(key) >> s.shift
-	for {
-		switch s.keys[i] {
-		case 0:
-			s.keys[i] = key
-			s.vals[i] = val
-			s.n++
-			return false
-		case key:
-			s.vals[i] = c.CombineMsg(s.vals[i], val)
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *sparseAcc) grow() {
-	oldKeys, oldVals := s.keys, s.vals
-	s.init(2 * len(oldKeys))
-	mask := uint64(len(s.keys) - 1)
-	for j, key := range oldKeys {
-		if key == 0 {
-			continue
-		}
-		i := sparseHash(key) >> s.shift
-		for s.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.keys[i] = key
-		s.vals[i] = oldVals[j]
-		s.n++
-	}
-}
-
-// drain appends every entry to out as Messages sorted by destination —
-// a canonical order independent of the hash layout, so sparse segments
-// are deterministic and align with dense segments — and empties the
-// table for reuse. scratch is merge-sort workspace; it must have
-// capacity for the drained entries or drain allocates one (dispatchers
-// pass their pooled scratch, so the hot path never does).
-//
-//gpsa:noalloc
-func (s *sparseAcc) drain(out, scratch []Message) []Message {
-	start := len(out)
-	for i, key := range s.keys {
-		if key == 0 {
-			continue
-		}
-		//lint:noalloc cap(out) holds every live entry by the getBuf(sizeEntries) contract; append never grows
-		out = append(out, Message{Dst: graph.VertexID(key - 1), Val: s.vals[i]})
-		s.keys[i] = 0
-	}
-	s.n = 0
-	entries := out[start:]
-	if cap(scratch) < len(entries) {
-		//lint:noalloc fallback for undersized scratch; dispatchers pass pooled scratch so the hot path never takes it
-		scratch = make([]Message, len(entries))
-	}
-	sortMessagesByDst(entries, scratch)
-	return out
-}
-
-// reset empties the table in place without draining, discarding every
-// entry — the abort path, where partial accumulator state from a failed
-// superstep must not survive into the retry.
-func (s *sparseAcc) reset() {
-	for i := range s.keys {
-		s.keys[i] = 0
-	}
-	s.n = 0
 }

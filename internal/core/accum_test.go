@@ -111,74 +111,86 @@ func weightedGraph(t testing.TB, seed, v int64, e int) *graph.CSR {
 	return g
 }
 
-// runMode executes prog over g with the given accumulator mode layered
-// on base and returns the final vertex payloads plus the run result.
-func runMode(t *testing.T, g *graph.CSR, prog Program, base Config, mode AccumMode) ([]uint64, *Result) {
+// accumPaths are the two message paths a combiner program can take:
+// the per-message ablation (DisableCombining) and dense source-side
+// accumulation.
+var accumPaths = []struct {
+	name    string
+	disable bool
+}{{"off", true}, {"dense", false}}
+
+// runPath executes prog over g on base, with combining disabled when
+// off is set, and returns the final vertex payloads plus the run result.
+func runPath(t *testing.T, g *graph.CSR, prog Program, base Config, off bool) ([]uint64, *Result) {
 	t.Helper()
 	cfg := base
-	cfg.AccumMode = mode
+	cfg.DisableCombining = off
 	eng, vf := setup(t, g, prog, cfg)
 	res, err := eng.Run()
 	if err != nil {
-		t.Fatalf("mode %v: %v", mode, err)
+		t.Fatalf("DisableCombining=%v: %v", off, err)
 	}
 	return vf.Values(), res
 }
 
-// assertIdentical requires every mode to produce bit-identical payloads.
-func assertIdentical(t *testing.T, g *graph.CSR, prog Program, base Config, modes []AccumMode) map[AccumMode]*Result {
+// assertValues requires got to match want bit for bit.
+func assertValues(t *testing.T, what string, got, want []uint64) {
 	t.Helper()
-	results := map[AccumMode]*Result{}
-	var refVals []uint64
-	var refMode AccumMode
-	for i, mode := range modes {
-		vals, res := runMode(t, g, prog, base, mode)
-		results[mode] = res
-		if i == 0 {
-			refVals, refMode = vals, mode
-			continue
-		}
-		for v := range vals {
-			if vals[v] != refVals[v] {
-				t.Fatalf("vertex %d: mode %v got %#x, mode %v got %#x", v, mode, vals[v], refMode, refVals[v])
-			}
-		}
-		if res.Supersteps != results[refMode].Supersteps || res.Messages != results[refMode].Messages {
-			t.Fatalf("mode %v ran %d supersteps / %d messages, mode %v %d / %d",
-				mode, res.Supersteps, res.Messages, refMode, results[refMode].Supersteps, results[refMode].Messages)
+	for v := range got {
+		if got[v] != want[v] {
+			t.Fatalf("vertex %d: %s got %#x, want %#x", v, what, got[v], want[v])
 		}
 	}
-	return results
 }
 
-// Float-sum programs fold messages in generation order on every path; a
-// single dispatcher/computer pair with barrier-only flushes makes the
-// per-vertex fold grouping identical too, so even PageRank's float sums
-// must come out bit-identical across the legacy, dense and sparse paths.
+// assertPathsIdentical requires both message paths to produce
+// bit-identical payloads, superstep and message counts, and returns
+// the dense run's payloads.
+func assertPathsIdentical(t *testing.T, g *graph.CSR, prog Program, base Config) []uint64 {
+	t.Helper()
+	offVals, offRes := runPath(t, g, prog, base, true)
+	vals, res := runPath(t, g, prog, base, false)
+	assertValues(t, "dense vs off", vals, offVals)
+	if res.Supersteps != offRes.Supersteps || res.Messages != offRes.Messages {
+		t.Fatalf("dense ran %d supersteps / %d messages, off %d / %d",
+			res.Supersteps, res.Messages, offRes.Supersteps, offRes.Messages)
+	}
+	if offRes.Supersteps == 0 {
+		t.Fatal("no superstep ran")
+	}
+	return vals
+}
+
+// Float-sum programs fold each destination's messages in generation
+// order; a single dispatcher/computer pair with barrier-only flushes
+// makes the fold grouping one segment per superstep, so even PageRank's
+// float sums must match the combining serial reference bit for bit.
 func TestAccumEquivalenceFloatPrograms(t *testing.T) {
 	g := randomGraph(t, 71, 220, 1400)
 	base := Config{
 		Dispatchers: 1, Computers: 1,
-		BatchSize:   1 << 20, // one combined batch per superstep on the legacy path
 		AccumBudget: 1 << 30, // barrier-only accumulator flushes
 		DisableSync: true,
 	}
-	t.Run("pagerank", func(t *testing.T) {
-		cfg := base
-		cfg.MaxSupersteps = 8
-		assertIdentical(t, g, prComb{}, cfg, []AccumMode{AccumOff, AccumDense, AccumSparse})
-	})
-	t.Run("deltapagerank", func(t *testing.T) {
-		cfg := base
-		cfg.MaxSupersteps = 20
-		assertIdentical(t, g, dprProg{}, cfg, []AccumMode{AccumOff, AccumDense, AccumSparse})
-	})
+	for _, tc := range []struct {
+		name  string
+		prog  Program
+		steps int
+	}{{"pagerank", prComb{}, 8}, {"deltapagerank", dprProg{}, 20}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.MaxSupersteps = tc.steps
+			vals, _ := runPath(t, g, tc.prog, cfg, false)
+			assertValues(t, "dense vs reference", vals, refRun(g, tc.prog, tc.steps))
+		})
+	}
 }
 
-// Dense and sparse accumulators share flush-boundary accounting and both
-// emit segments in ascending vertex order, so they stay bit-identical
-// even with aggressive incremental flushing and multiple computers —
-// including for order-sensitive float sums.
+// Incremental flushing hands several slabs per (dispatcher, computer)
+// pair to the computers mid-dispatch. Each slab is drained in vertex
+// order and flushes land at fixed entry counts, so with one dispatcher
+// even float sums are reproducible bit for bit; the regrouped fold may
+// only move the low bits against a barrier-only run.
 func TestAccumEquivalenceFloatIncrementalFlush(t *testing.T) {
 	g := randomGraph(t, 72, 300, 2400)
 	base := Config{
@@ -187,13 +199,28 @@ func TestAccumEquivalenceFloatIncrementalFlush(t *testing.T) {
 		MaxSupersteps: 6,
 		DisableSync:   true,
 	}
-	res := assertIdentical(t, g, prComb{}, base, []AccumMode{AccumDense, AccumSparse})
-	if r := res[AccumDense]; r.Delivered >= r.Messages {
-		t.Fatalf("dense accumulation delivered %d of %d generated messages; expected source-side combining", r.Delivered, r.Messages)
+	vals, res := runPath(t, g, prComb{}, base, false)
+	again, _ := runPath(t, g, prComb{}, base, false)
+	assertValues(t, "repeated incremental-flush run", again, vals)
+
+	barrier := base
+	barrier.AccumBudget = 1 << 30
+	whole, wholeRes := runPath(t, g, prComb{}, barrier, false)
+	if res.Delivered >= res.Messages {
+		t.Fatalf("dense accumulation delivered %d of %d generated messages; expected source-side combining", res.Delivered, res.Messages)
+	}
+	if res.Delivered <= wholeRes.Delivered {
+		t.Fatalf("budget 512 delivered %d, barrier-only %d: no mid-dispatch flush happened", res.Delivered, wholeRes.Delivered)
+	}
+	for v := range vals {
+		a, b := math.Float64frombits(vals[v]), math.Float64frombits(whole[v])
+		if math.Abs(a-b) > 1e-12*math.Abs(b) {
+			t.Fatalf("vertex %d: incremental flush %v, barrier-only %v", v, a, b)
+		}
 	}
 }
 
-// Min-fold programs are order- and grouping-insensitive, so every path
+// Min-fold programs are order- and grouping-insensitive, so both paths
 // must agree bit for bit even under full parallelism, tiny batches and
 // eager incremental flushes — and match the serial reference executor.
 func TestAccumEquivalenceMinPrograms(t *testing.T) {
@@ -204,77 +231,89 @@ func TestAccumEquivalenceMinPrograms(t *testing.T) {
 		AccumBudget: 512,
 		DisableSync: true,
 	}
-	modes := []AccumMode{AccumOff, AccumDense, AccumSparse, AccumAuto}
 	t.Run("bfs", func(t *testing.T) {
-		want := refRun(dg, bfsProg{root: 0}, 100)
-		res := assertIdentical(t, dg, bfsComb{bfsProg{root: 0}}, base, modes)
-		vals, _ := runMode(t, dg, bfsComb{bfsProg{root: 0}}, base, AccumAuto)
-		for v := range vals {
-			if vals[v] != want[v] {
-				t.Fatalf("vertex %d: engine %#x, reference %#x", v, vals[v], want[v])
-			}
-		}
-		if res[AccumOff].Supersteps == 0 {
-			t.Fatal("bfs did not run")
-		}
+		vals := assertPathsIdentical(t, dg, bfsComb{bfsProg{root: 0}}, base)
+		assertValues(t, "engine vs reference", vals, refRun(dg, bfsProg{root: 0}, 100))
 	})
 	t.Run("cc", func(t *testing.T) {
 		sym := dg.Symmetrize()
-		want := refRun(sym, ccProg{}, 100)
-		assertIdentical(t, sym, ccCombining{}, base, modes)
-		vals, _ := runMode(t, sym, ccCombining{}, base, AccumDense)
-		for v := range vals {
-			if vals[v] != want[v] {
-				t.Fatalf("vertex %d: engine %#x, reference %#x", v, vals[v], want[v])
-			}
-		}
+		vals := assertPathsIdentical(t, sym, ccCombining{}, base)
+		assertValues(t, "engine vs reference", vals, refRun(sym, ccProg{}, 100))
 	})
 	t.Run("sssp", func(t *testing.T) {
 		wg := weightedGraph(t, 74, 250, 1500)
-		assertIdentical(t, wg, ssspComb{root: 0}, base, modes)
+		assertPathsIdentical(t, wg, ssspComb{root: 0}, base)
 	})
 }
 
-// The adaptive switch must pick the sparse table while the active
-// fraction is low (BFS's early frontier) and the dense slab once the
-// frontier widens past 1/denseActiveDenom of the graph.
+// The engine picks each superstep's message path by itself; there is no
+// mode knob. Every superstep of a combiner program runs dense — including
+// BFS's step 0, whose frontier is the single root — and matches the
+// combining serial reference; DisableCombining runs every step off and
+// delivers every generated message.
 func TestAccumAutoSwitches(t *testing.T) {
 	g := randomGraph(t, 75, 400, 4000)
-	var seen []AccumMode
-	cfg := Config{
-		Dispatchers: 2, Computers: 2,
-		DisableSync: true,
-		Progress:    func(s StepStats) { seen = append(seen, s.Accum) },
-	}
-	eng, _ := setup(t, g, bfsComb{bfsProg{root: 0}}, cfg)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) == 0 {
-		t.Fatal("no supersteps ran")
-	}
-	if seen[0] != AccumSparse {
-		t.Fatalf("superstep 0 (single active root) used %v, want sparse", seen[0])
-	}
-	var dense bool
-	for _, m := range seen {
-		if m == AccumAuto || m == AccumOff {
-			t.Fatalf("auto resolved to %v", m)
-		}
-		if m == AccumDense {
-			dense = true
-		}
-	}
-	if !dense {
-		t.Fatalf("frontier never triggered the dense slab (modes: %v)", seen)
+	prog := bfsComb{bfsProg{root: 0}}
+	for _, path := range accumPaths {
+		t.Run(path.name, func(t *testing.T) {
+			var steps []StepStats
+			cfg := Config{
+				Dispatchers: 2, Computers: 2,
+				DisableCombining: path.disable,
+				DisableSync:      true,
+				Progress:         func(s StepStats) { steps = append(steps, s) },
+			}
+			eng, vf := setup(t, g, prog, cfg)
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(steps) < 2 {
+				t.Fatalf("bfs ran %d supersteps", len(steps))
+			}
+			for _, st := range steps {
+				if st.Accum.String() != path.name {
+					t.Fatalf("superstep %d ran %v, want %s", st.Step, st.Accum, path.name)
+				}
+				if path.disable && st.Delivered != st.Messages {
+					t.Fatalf("superstep %d: combining disabled but delivered %d != generated %d", st.Step, st.Delivered, st.Messages)
+				}
+			}
+			assertValues(t, "engine vs reference", vf.Values(), refRun(g, prog, 100))
+		})
 	}
 }
 
-// Programs without a combiner — and explicit AccumOff — must stay on the
-// legacy batch path: every generated message is delivered.
+// Ownership is fixed at dst mod Computers. A computer count that is not a
+// power of two makes the dispatcher fall back from its mask to a modulo;
+// dense accumulation must still run on every step and match the reference.
+func TestAccumDenseCustomOwnerFallsBack(t *testing.T) {
+	g := randomGraph(t, 77, 200, 1200)
+	prog := bfsComb{bfsProg{root: 0}}
+	var modes []AccumMode
+	cfg := Config{
+		Computers: 3,
+		Progress:  func(s StepStats) { modes = append(modes, s.Accum) },
+	}
+	eng, vf := setup(t, g, prog, cfg)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(modes) == 0 {
+		t.Fatal("no supersteps ran")
+	}
+	for i, m := range modes {
+		if m != AccumDense {
+			t.Fatalf("superstep %d ran %v with 3 computers, want dense", i, m)
+		}
+	}
+	assertValues(t, "engine vs reference", vf.Values(), refRun(g, prog, 100))
+}
+
+// Programs without a combiner stay on the per-message batch path:
+// every generated message is delivered.
 func TestAccumRequiresCombiner(t *testing.T) {
 	g := randomGraph(t, 76, 150, 900)
-	cfg := Config{AccumMode: AccumDense, DisableSync: true}
+	cfg := Config{DisableSync: true}
 	var modes []AccumMode
 	cfg.Progress = func(s StepStats) { modes = append(modes, s.Accum) }
 	eng, _ := setup(t, g, ccProg{}, cfg) // no CombineMsg
@@ -292,104 +331,30 @@ func TestAccumRequiresCombiner(t *testing.T) {
 	}
 }
 
-// A custom owner function cannot use the dense slab's mod indexing; the
-// engine must quietly fall back to the sparse table and still be correct.
-func TestAccumDenseCustomOwnerFallsBack(t *testing.T) {
-	g := randomGraph(t, 77, 200, 1200)
-	want := refRun(g, bfsProg{root: 0}, 100)
-	var modes []AccumMode
-	cfg := Config{
-		AccumMode: AccumDense,
-		Owner:     BlockOwner(g.NumVertices),
-		Computers: 3,
-		Progress:  func(s StepStats) { modes = append(modes, s.Accum) },
-	}
-	eng, vf := setup(t, g, bfsComb{bfsProg{root: 0}}, cfg)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range modes {
-		if m != AccumSparse {
-			t.Fatalf("custom owner ran mode %v, want sparse fallback", m)
-		}
-	}
-	for v := int64(0); v < g.NumVertices; v++ {
-		if vf.Value(v) != want[v] {
-			t.Fatalf("vertex %d: %d, want %d", v, vf.Value(v), want[v])
-		}
-	}
-}
-
-// Unit coverage of the open-addressing table: fold-on-collision, growth
-// past the load factor, and a sorted, emptying drain.
-func TestSparseAccTable(t *testing.T) {
-	s := newSparseAcc()
-	c := minComb{}
-	const n = 500
-	for i := 0; i < n; i++ {
-		dst := graph.VertexID(i * 7 % 311)
-		if s.insert(dst, uint64(1000+i), c) {
-			// folded: table must already hold this dst
-			continue
-		}
-	}
-	if s.n != 311 {
-		t.Fatalf("table holds %d entries, want 311 distinct", s.n)
-	}
-	if len(s.keys) < 311*4/3 {
-		t.Fatalf("table did not grow (cap %d for %d entries)", len(s.keys), s.n)
-	}
-	out := s.drain(nil, nil)
-	if len(out) != 311 {
-		t.Fatalf("drained %d entries, want 311", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i-1].Dst >= out[i].Dst {
-			t.Fatalf("drain not sorted: %d before %d", out[i-1].Dst, out[i].Dst)
-		}
-	}
-	if s.n != 0 {
-		t.Fatalf("drain left %d entries", s.n)
-	}
-	for _, k := range s.keys {
-		if k != 0 {
-			t.Fatal("drain left a non-zero key")
-		}
-	}
-	// min-fold correctness: re-insert two values for one dst
-	s.insert(5, 9, c)
-	s.insert(5, 3, c)
-	s.insert(5, 7, c)
-	out = s.drain(nil, nil)
-	if len(out) != 1 || out[0].Val != 3 {
-		t.Fatalf("min fold produced %+v, want single entry val 3", out)
-	}
-}
-
 // Pool recycling must be invisible to results: running a computation as
-// two Run calls on ONE engine — where the second half draws only slabs,
-// tables and batches that were already used, released and (with poison
-// forced on) overwritten with the poison pattern — must produce a
-// vertex file bit-identical to a fresh engine running straight through.
-// Any read of recycled state that escapes the presence metadata would
-// fold poison into a value and diverge loudly.
+// two Run calls on ONE engine — where the second half draws only slabs
+// and batches that were already used, released and (with poison forced
+// on) overwritten with the poison pattern — must produce a vertex file
+// bit-identical to a fresh engine running straight through. Any read of
+// recycled state that escapes the presence metadata would fold poison
+// into a value and diverge loudly.
 func TestAccumPoolRecycleEquivalence(t *testing.T) {
 	restore := poisonReleases
 	poisonReleases = true
 	defer func() { poisonReleases = restore }()
 
 	g := randomGraph(t, 78, 260, 2000)
-	for _, mode := range []AccumMode{AccumOff, AccumDense, AccumSparse, AccumAuto} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, path := range accumPaths {
+		t.Run(path.name, func(t *testing.T) {
 			// One dispatcher keeps per-computer arrival order deterministic,
 			// so even PageRank's float sums must match bit for bit. The tiny
 			// budget and batch force heavy mid-dispatch recycle traffic.
 			base := Config{
 				Dispatchers: 1, Computers: 2,
-				BatchSize:   64,
-				AccumBudget: 512,
-				AccumMode:   mode,
-				DisableSync: true,
+				BatchSize:        64,
+				AccumBudget:      512,
+				DisableCombining: path.disable,
+				DisableSync:      true,
 			}
 			const steps = 8
 			ref := base
@@ -406,12 +371,7 @@ func TestAccumPoolRecycleEquivalence(t *testing.T) {
 					t.Fatalf("run %d: %v", part, err)
 				}
 			}
-			want, got := refVf.Values(), vf.Values()
-			for v := range got {
-				if got[v] != want[v] {
-					t.Fatalf("vertex %d: recycled engine %#x, fresh engine %#x", v, got[v], want[v])
-				}
-			}
+			assertValues(t, "recycled engine vs fresh engine", vf.Values(), refVf.Values())
 		})
 	}
 }

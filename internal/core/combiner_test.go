@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/mmap"
@@ -60,81 +59,6 @@ func TestNonCombinableProgramDeliversEverything(t *testing.T) {
 	}
 	if res.Delivered != res.Messages {
 		t.Fatalf("no combiner but delivered %d != generated %d", res.Delivered, res.Messages)
-	}
-}
-
-type minComb struct{}
-
-func (minComb) CombineMsg(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Property: combineScratch preserves the per-destination fold (min) and
-// never grows the batch.
-func TestCombineScratchProperty(t *testing.T) {
-	fn := func(dsts []uint8, vals []uint16) bool {
-		n := len(dsts)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		batch := make([]Message, n)
-		want := map[graph.VertexID]uint64{}
-		for i := 0; i < n; i++ {
-			d := graph.VertexID(dsts[i] % 16)
-			v := uint64(vals[i])
-			batch[i] = Message{Dst: d, Val: v}
-			if cur, ok := want[d]; !ok || v < cur {
-				want[d] = v
-			}
-		}
-		out := combineScratch(batch, make([]Message, n), minComb{})
-		if len(out) > n || len(out) != len(want) {
-			return false
-		}
-		seen := map[graph.VertexID]bool{}
-		for _, m := range out {
-			if seen[m.Dst] {
-				return false // duplicate destination survived
-			}
-			seen[m.Dst] = true
-			if want[m.Dst] != m.Val {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockOwnerPartitioning(t *testing.T) {
-	g := randomGraph(t, 34, 300, 1500)
-	want := refRun(g, bfsProg{root: 0}, 100)
-	eng, vf := setup(t, g, bfsProg{root: 0}, Config{
-		Owner:     BlockOwner(g.NumVertices),
-		Computers: 4,
-	})
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := int64(0); v < g.NumVertices; v++ {
-		if vf.Value(v) != want[v]&vertexfile.PayloadMask {
-			t.Fatalf("vertex %d mismatch under BlockOwner", v)
-		}
-	}
-	// Sanity of the owner function itself.
-	for _, v := range []graph.VertexID{0, 150, 299} {
-		w := BlockOwner(300)(v, 4)
-		if w < 0 || w >= 4 {
-			t.Fatalf("BlockOwner(%d) = %d out of range", v, w)
-		}
-	}
-	if BlockOwner(300)(0, 4) != 0 || BlockOwner(300)(299, 4) != 3 {
-		t.Fatal("BlockOwner endpoints wrong")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // computer is the paper's computing worker (Algorithm 3). It owns the
 // vertices v with v mod Computers == id and folds incoming messages into
 // their values, message-driven, concurrently with dispatching. Messages
-// arrive either as legacy batches (kindData) or as dense accumulator
+// arrive either as per-message batches (kindData) or as dense accumulator
 // segments (kindSegment) carrying one pre-combined message per vertex.
 type computer struct {
 	id  int

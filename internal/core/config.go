@@ -4,28 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"time"
-
-	"repro/internal/graph"
 )
-
-// OwnerFunc maps a destination vertex to the computing worker that owns
-// it (must be a pure function).
-type OwnerFunc func(dst graph.VertexID, workers int) int
-
-// ModOwner is the default vertex-to-worker assignment (dst mod workers).
-func ModOwner(dst graph.VertexID, workers int) int { return int(dst) % workers }
-
-// BlockOwner assigns contiguous vertex blocks to workers, an alternative
-// with better locality but potentially unbalanced write load.
-func BlockOwner(numVertices int64) OwnerFunc {
-	return func(dst graph.VertexID, workers int) int {
-		w := int(int64(dst) * int64(workers) / numVertices)
-		if w >= workers {
-			w = workers - 1
-		}
-		return w
-	}
-}
 
 // DefaultMaxSupersteps is the superstep cap when Config.MaxSupersteps is
 // zero. Exported so resume logic can interpret "no explicit cap" as the
@@ -57,6 +36,8 @@ type Config struct {
 
 	// BatchSize is the number of messages accumulated per destination
 	// worker before the batch is put into its mailbox (default 512).
+	// Only the per-message path reads it: programs without a Combiner,
+	// or runs with DisableCombining.
 	BatchSize int
 
 	// MailboxCap is the per-worker mailbox capacity in batches
@@ -84,14 +65,9 @@ type Config struct {
 	DisableSync bool
 
 	// DisableCombining turns off dispatcher-side message combining even
-	// when the program implements Combiner. For ablation experiments.
+	// when the program implements Combiner: every message is mailed in
+	// per-message batches of BatchSize. For ablation experiments.
 	DisableCombining bool
-
-	// AccumMode selects the message path for combiner-enabled programs:
-	// source-side accumulation (dense slab / sparse table, adaptive by
-	// default) or the legacy per-message batch path (AccumOff). Programs
-	// without a Combiner always use the legacy path regardless.
-	AccumMode AccumMode
 
 	// AccumBudget is the byte budget of one (dispatcher, computer)
 	// accumulator before it is flushed to the computing worker as a
@@ -112,13 +88,6 @@ type Config struct {
 	// prefetch actor keeps ahead of its dispatcher's cursor (default
 	// 8 MiB). The DONTNEED trail follows one window behind the cursor.
 	PrefetchWindow int
-
-	// Owner assigns each destination vertex to a computing worker. The
-	// default is the paper's "average assignment by mod according to the
-	// vertex id" (§V-A); any pure function of (vertex, workers) works —
-	// ownership only has to be deterministic so no two workers ever
-	// write the same vertex.
-	Owner OwnerFunc
 
 	// Intervals selects how the edge file is split across dispatchers:
 	// balanced by edge count (default; the paper's "assign vertices to
@@ -181,9 +150,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = DefaultMaxSupersteps
 	}
-	if c.Owner == nil {
-		c.Owner = ModOwner
-	}
 	if c.AccumBudget <= 0 {
 		c.AccumBudget = 256 << 10
 	}
@@ -206,7 +172,7 @@ func (c Config) validate() error {
 // StepStats records one superstep's activity.
 type StepStats struct {
 	Step      int64
-	Accum     AccumMode // effective message path this superstep (never Auto)
+	Accum     AccumMode // message path this superstep ran: dense for combiner programs, else off
 	Messages  int64     // messages generated by dispatchers
 	Delivered int64     // messages delivered after combining (== Messages without a Combiner)
 	Updates   int64     // vertex values written

@@ -17,43 +17,33 @@ import (
 // sequentially, generating messages for the out-edges of fresh vertices.
 //
 // For combiner-enabled programs the dispatcher folds messages at the
-// source into per-computer accumulators (dense slab or sparse table,
-// chosen by the manager per superstep) and hands whole segments to the
-// computing workers; without a combiner it falls back to the legacy
-// per-message batch path, whose semantics the durability contract is
+// source into one dense slab per computer and hands whole slabs to the
+// computing workers; without a combiner (or with DisableCombining) it
+// mails per-message batches, whose semantics the durability contract is
 // stated against.
 type dispatcher struct {
 	id       int
 	eng      *Engine
 	interval graph.Interval
 
-	// per-computer outgoing batches (legacy path), arena-pooled
+	// per-computer outgoing batches (per-message path), arena-pooled
 	bufs []([]Message)
 
-	// scratch is the dispatcher-owned merge-sort workspace for sparse
-	// drains and legacy combining, sized max(BatchSize, sizeEntries)
-	// and recycled to the arena when the actor exits.
-	scratch []Message
-
-	// owner fast path, hoisted out of the per-edge loop: with the
-	// default mod assignment the Owner call is replaced by a mod (or a
-	// mask when the worker count is a power of two).
+	// owner fast path, hoisted out of the per-edge loop: vertex v is
+	// owned by computer v mod workers, a mask and shift when the worker
+	// count is a power of two.
 	workers  int
-	isMod    bool
-	ownMask  graph.VertexID // workers-1 when isMod and workers is a power of two
+	ownMask  graph.VertexID // workers-1 when workers is a power of two
 	ownShift uint           // log2(workers) for the dense index
 	usesMask bool
 
 	// accumulator state (combiner programs)
-	dense         []*denseSeg  // per computer, handed off at flush
-	sparse        []*sparseAcc // per computer, drained at flush, reused
-	budgetEntries int          // entries per accumulator before an incremental flush
-	sizeEntries   int          // budgetEntries clamped by maxOwned: buffer sizing bound
+	dense         []*denseSeg // per computer, handed off at flush
+	budgetEntries int         // entries per slab before an incremental flush
 
-	delivered  int64 // messages delivered this superstep (post-combining)
-	folded     int64 // messages combined into an existing accumulator entry
-	denseSegs  int64 // dense segments handed off this superstep
-	sparseSegs int64 // sparse segments handed off this superstep
+	delivered int64 // messages delivered this superstep (post-combining)
+	folded    int64 // messages combined into an existing accumulator entry
+	denseSegs int64 // dense segments handed off this superstep
 }
 
 // Execute is the dispatcher's actor loop: block on a command, run the
@@ -72,9 +62,7 @@ func (d *dispatcher) Execute() (err error) {
 	d.workers = len(d.eng.toComp)
 	d.bufs = make([][]Message, d.workers)
 	d.dense = make([]*denseSeg, d.workers)
-	d.sparse = make([]*sparseAcc, d.workers)
-	d.isMod = d.eng.ownerIsMod
-	if d.isMod && d.workers&(d.workers-1) == 0 {
+	if d.workers&(d.workers-1) == 0 {
 		d.usesMask = true
 		d.ownMask = graph.VertexID(d.workers - 1)
 		d.ownShift = uint(bits.TrailingZeros(uint(d.workers)))
@@ -83,12 +71,6 @@ func (d *dispatcher) Execute() (err error) {
 	if d.budgetEntries < 1 {
 		d.budgetEntries = 1
 	}
-	d.sizeEntries = d.eng.accumEntries()
-	scratchCap := d.eng.cfg.BatchSize
-	if d.eng.combiner != nil && d.eng.cfg.AccumMode != AccumOff && d.sizeEntries > scratchCap {
-		scratchCap = d.sizeEntries
-	}
-	d.scratch = d.eng.pool.getBuf(scratchCap)
 	// Return every locally owned buffer to the arena on the way out
 	// (normal exit or panic — a restarted incarnation draws fresh ones).
 	defer d.releasePooled()
@@ -100,14 +82,14 @@ func (d *dispatcher) Execute() (err error) {
 		if cmd.kind != kindIterationStart {
 			return fmt.Errorf("core: dispatcher %d: unexpected command %v", d.id, cmd.kind)
 		}
-		d.delivered, d.folded, d.denseSegs, d.sparseSegs = 0, 0, 0, 0
+		d.delivered, d.folded, d.denseSegs = 0, 0, 0
 		if d.eng.prefetchOn {
 			// Announce the new superstep to the prefetch actor: its
 			// WILLNEED window rewinds to the interval top with us.
 			d.eng.dispPos[d.id].Store(d.interval.StartWord)
 			d.eng.dispStep[d.id].Store(cmd.step)
 		}
-		sent, err := d.runSuperstep(cmd.step, cmd.accum)
+		sent, err := d.runSuperstep(cmd.step)
 		if err != nil {
 			if d.aborting(err) {
 				// The manager is already tearing this superstep down;
@@ -135,15 +117,12 @@ func (d *dispatcher) aborting(err error) bool {
 // dropAccumulators discards partially filled accumulator state after an
 // aborted superstep, so no entry from the failed attempt can leak into a
 // retried one. Slabs return to the arena (putSlab clears their bitmap);
-// sparse tables are reset in place and kept for the next superstep.
+// partial batches are truncated in place.
 func (d *dispatcher) dropAccumulators() {
 	for w := range d.dense {
 		if s := d.dense[w]; s != nil {
 			d.eng.pool.putSlab(s)
 			d.dense[w] = nil
-		}
-		if s := d.sparse[w]; s != nil && s.n > 0 {
-			s.reset()
 		}
 		if len(d.bufs[w]) > 0 {
 			d.bufs[w] = d.bufs[w][:0]
@@ -152,9 +131,8 @@ func (d *dispatcher) dropAccumulators() {
 }
 
 // releasePooled returns every buffer the dispatcher still owns — partial
-// slabs, sparse tables, legacy batches, sort scratch — to the arena.
-// Runs once when the actor exits; buffers already handed to computers
-// are theirs to release.
+// slabs and batches — to the arena. Runs once when the actor exits;
+// buffers already handed to computers are theirs to release.
 func (d *dispatcher) releasePooled() {
 	pool := d.eng.pool
 	for w := range d.dense {
@@ -163,38 +141,25 @@ func (d *dispatcher) releasePooled() {
 			d.dense[w] = nil
 		}
 	}
-	for w := range d.sparse {
-		if s := d.sparse[w]; s != nil {
-			pool.putTable(s)
-			d.sparse[w] = nil
-		}
-	}
 	for w := range d.bufs {
 		if b := d.bufs[w]; b != nil {
 			pool.putBuf(b)
 			d.bufs[w] = nil
 		}
 	}
-	if d.scratch != nil {
-		pool.putBuf(d.scratch)
-		d.scratch = nil
-	}
 }
 
-// owner resolves the computing worker owning dst, using the hoisted mod
-// fast path when the configuration allows it.
+// owner resolves the computing worker owning dst: dst mod Computers,
+// the paper's "average assignment by mod according to the vertex id"
+// (§V-A), which processSegment's stride also assumes.
 func (d *dispatcher) owner(dst graph.VertexID) int {
 	if d.usesMask {
 		return int(dst & d.ownMask)
 	}
-	if d.isMod {
-		return int(dst) % d.workers
-	}
-	return d.eng.cfg.Owner(dst, d.workers)
+	return int(dst) % d.workers
 }
 
-// denseIndex maps dst to its slot in the owning computer's dense slab
-// (only valid under mod ownership).
+// denseIndex maps dst to its slot in the owning computer's dense slab.
 func (d *dispatcher) denseIndex(dst graph.VertexID) int64 {
 	if d.usesMask {
 		return int64(dst >> d.ownShift)
@@ -203,8 +168,9 @@ func (d *dispatcher) denseIndex(dst graph.VertexID) int64 {
 }
 
 //gpsa:noalloc
-func (d *dispatcher) runSuperstep(step int64, mode AccumMode) (sent int64, err error) {
+func (d *dispatcher) runSuperstep(step int64) (sent int64, err error) {
 	eng := d.eng
+	dense := eng.combiner != nil
 	col := vertexfile.DispatchCol(step)
 	weighted := eng.gf.Weighted()
 	cur := eng.gf.Cursor(d.interval)
@@ -236,12 +202,9 @@ func (d *dispatcher) runSuperstep(step int64, mode AccumMode) (sent int64, err e
 			//lint:noalloc the injection site's PanicValue materializes only when a chaos-run fault fires; production paths allocate nothing
 			fault.Panic(fault.SiteDispatcherMsg)
 			wk := d.owner(dst)
-			switch mode {
-			case AccumDense:
+			if dense {
 				err = d.accumDense(wk, dst, msgVal)
-			case AccumSparse:
-				err = d.accumSparse(wk, dst, msgVal)
-			default:
+			} else {
 				err = d.send(wk, dst, msgVal)
 			}
 			if err != nil {
@@ -256,14 +219,13 @@ func (d *dispatcher) runSuperstep(step int64, mode AccumMode) (sent int64, err e
 	if err := cur.Err(); err != nil {
 		return sent, err
 	}
-	if err := d.flush(mode); err != nil {
+	if err := d.flush(); err != nil {
 		return sent, err
 	}
-	if mode != AccumOff {
+	if dense {
 		metrics.Add(metrics.CtrAccumFolded, d.folded)
 		metrics.Add(metrics.CtrAccumDelivered, d.delivered)
 		metrics.Add(metrics.CtrAccumDenseSegs, d.denseSegs)
-		metrics.Add(metrics.CtrAccumSparseSegs, d.sparseSegs)
 	}
 	return sent, nil
 }
@@ -294,29 +256,6 @@ func (d *dispatcher) accumDense(wk int, dst graph.VertexID, val uint64) error {
 	return nil
 }
 
-// accumSparse folds a message into the sparse table of computer wk,
-// draining it as a sorted batch once it reaches the byte budget.
-//
-//gpsa:noalloc
-func (d *dispatcher) accumSparse(wk int, dst graph.VertexID, val uint64) error {
-	s := d.sparse[wk]
-	if s == nil {
-		// Pre-sized so the table never grows before the flush budget
-		// drains it: acquisition is the only allocation point, and the
-		// arena makes even that a free-list pop after warm-up.
-		s = d.eng.pool.getTable(d.sizeEntries)
-		d.sparse[wk] = s
-	}
-	if s.insert(dst, val, d.eng.combiner) {
-		d.folded++
-		return nil
-	}
-	if s.n >= d.budgetEntries {
-		return d.flushSparse(wk)
-	}
-	return nil
-}
-
 //gpsa:noalloc
 func (d *dispatcher) flushDense(wk int) error {
 	s := d.dense[wk]
@@ -329,20 +268,8 @@ func (d *dispatcher) flushDense(wk int) error {
 	return d.eng.toComp[wk].Put(workerMsg{kind: kindSegment, seg: s})
 }
 
-//gpsa:noalloc
-func (d *dispatcher) flushSparse(wk int) error {
-	s := d.sparse[wk]
-	if s == nil || s.n == 0 {
-		return nil
-	}
-	batch := s.drain(d.eng.pool.getBuf(d.sizeEntries), d.scratch)
-	d.delivered += int64(len(batch))
-	d.sparseSegs++
-	return d.eng.toComp[wk].Put(workerMsg{kind: kindData, batch: batch})
-}
-
 // send buffers a message for the computing worker owning dst on the
-// legacy path, flushing the batch when full.
+// per-message path, flushing the batch when full.
 //
 //gpsa:noalloc
 func (d *dispatcher) send(wk int, dst graph.VertexID, val uint64) error {
@@ -361,27 +288,18 @@ func (d *dispatcher) send(wk int, dst graph.VertexID, val uint64) error {
 func (d *dispatcher) dispatchBatch(w int) error {
 	b := d.bufs[w]
 	d.bufs[w] = nil
-	if c := d.eng.combiner; c != nil {
-		b = combineScratch(b, d.scratch, c)
-	}
 	d.delivered += int64(len(b))
 	return d.eng.toComp[w].Put(workerMsg{kind: kindData, batch: b})
 }
 
-// flush hands over every partial accumulator or batch at the end of the
-// interval, in worker order (deterministic).
-func (d *dispatcher) flush(mode AccumMode) error {
+// flush hands over every partial slab or batch at the end of the
+// interval, in worker order (deterministic). A dispatcher only ever
+// fills one of the two kinds, so the other is a no-op.
+func (d *dispatcher) flush() error {
 	for w := 0; w < d.workers; w++ {
-		var err error
-		switch mode {
-		case AccumDense:
-			err = d.flushDense(w)
-		case AccumSparse:
-			err = d.flushSparse(w)
-		default:
-			if len(d.bufs[w]) > 0 {
-				err = d.dispatchBatch(w)
-			}
+		err := d.flushDense(w)
+		if err == nil && len(d.bufs[w]) > 0 {
+			err = d.dispatchBatch(w)
 		}
 		if err != nil {
 			return err

@@ -28,9 +28,13 @@
 //     values are written fresh; unchanged vertices stay stale and are
 //     skipped by dispatchers next superstep (selective scheduling).
 //
-// Messages are batched between dispatchers and computing workers
-// (Config.BatchSize); this is an implementation constant, not a model
-// change — mailboxes remain asynchronous and FIFO, and the barrier
-// message is only sent after all dispatcher sends have completed, so
-// FIFO ordering guarantees computing workers observe it last.
+// Messages are grouped between dispatchers and computing workers; this
+// is an implementation constant, not a model change. Programs with a
+// Combiner fold messages at the source into one dense slab per
+// (dispatcher, computer) pair, mailed whenever it holds
+// Config.AccumBudget worth of entries and at the end of the interval;
+// other programs mail per-message batches of Config.BatchSize.
+// Mailboxes remain asynchronous and FIFO, and the barrier message is
+// only sent after all dispatcher sends have completed, so FIFO ordering
+// guarantees computing workers observe it last.
 package core

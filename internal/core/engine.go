@@ -18,7 +18,7 @@ import (
 type msgKind int
 
 const (
-	kindData           msgKind = iota // batch of vertex update messages
+	kindData           msgKind = iota // batch of uncombined vertex update messages
 	kindSegment                       // dense accumulator segment handoff
 	kindIterationStart                // manager -> dispatcher
 	kindDispatchOver                  // dispatcher -> manager
@@ -32,7 +32,6 @@ const (
 type workerMsg struct {
 	kind   msgKind
 	step   int64
-	accum  AccumMode // iterationStart: effective accumulator mode
 	batch  []Message // kindData
 	seg    *denseSeg // kindSegment
 	from   int       // sender worker id
@@ -67,17 +66,13 @@ type Engine struct {
 	dispPos    []atomic.Int64
 	dispStep   []atomic.Int64
 
-	// ownerIsMod records that Config.Owner was left at the default mod
-	// assignment, enabling the dispatcher's mask/stride owner fast path
-	// and the dense accumulator's vertex→slab-index mapping.
-	ownerIsMod bool
 	// maxOwned is the largest number of vertices any computing worker
 	// owns under mod assignment — the dense slab size.
 	maxOwned int64
 
-	// pool is the engine-owned arena behind slabs, sparse tables and
-	// message buffers — explicit free lists (prewarmed in New) so the
-	// steady-state hot path never allocates. See pool.go.
+	// pool is the engine-owned arena behind slabs and message buffers —
+	// explicit free lists (prewarmed in New) so the steady-state hot
+	// path never allocates. See pool.go.
 	pool *arena
 
 	// per-superstep statistics scratch, reused across runStep calls.
@@ -130,20 +125,18 @@ func New(gf *graph.File, vf *vertexfile.File, prog Program, cfg Config) (*Engine
 	if prog == nil {
 		return nil, fmt.Errorf("core: nil program")
 	}
-	ownerIsMod := cfg.Owner == nil
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		gf:         gf,
-		vf:         vf,
-		prog:       prog,
-		cfg:        cfg,
-		ownerIsMod: ownerIsMod,
-		maxOwned:   (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers),
+		gf:       gf,
+		vf:       vf,
+		prog:     prog,
+		cfg:      cfg,
+		maxOwned: (gf.NumVertices + int64(cfg.Computers) - 1) / int64(cfg.Computers),
 	}
-	e.pool = newArena(e.maxOwned)
+	e.pool = newArena(e.maxOwned, cfg.BatchSize)
 	if c, ok := prog.(Combiner); ok && !cfg.DisableCombining {
 		e.combiner = c
 	}
@@ -163,26 +156,10 @@ func CreateValueFile(path string, gf *graph.File, prog Program) (*vertexfile.Fil
 	return vertexfile.Create(path, gf.NumVertices, prog.Init)
 }
 
-func (e *Engine) getBatch() []Message  { return e.pool.getBuf(e.cfg.BatchSize) }
+func (e *Engine) getBatch() []Message  { return e.pool.getBuf() }
 func (e *Engine) putBatch(b []Message) { e.pool.putBuf(b) }
 func (e *Engine) getSlab() *denseSeg   { return e.pool.getSlab() }
 func (e *Engine) putSlab(s *denseSeg)  { e.pool.putSlab(s) }
-
-// accumEntries is the per-accumulator sizing bound: the flush budget in
-// entries, clamped by maxOwned — a per-(dispatcher, computer)
-// accumulator can never hold more distinct destinations than the
-// computer owns, so an oversized AccumBudget must not balloon the
-// pooled sparse tables and drain buffers.
-func (e *Engine) accumEntries() int {
-	be := e.cfg.AccumBudget / 16 // 16 bytes per (dst, val) entry
-	if be < 1 {
-		be = 1
-	}
-	if int64(be) > e.maxOwned {
-		be = int(e.maxOwned)
-	}
-	return be
-}
 
 // prewarmPool stocks the arena with the steady-state working set at
 // construction time, so even the first superstep runs without hot-path
@@ -196,33 +173,14 @@ func (e *Engine) accumEntries() int {
 // ramp allocates lazily, which at that scale is noise per message.
 func (e *Engine) prewarmPool() {
 	cfg := e.cfg
-	pairs := cfg.Dispatchers * cfg.Computers
 	const warmBytesCap = 256 << 20
-	accum := e.combiner != nil && cfg.AccumMode != AccumOff
-
-	scratchCap := cfg.BatchSize
-	if accum {
-		entries := e.accumEntries()
-		if entries > scratchCap {
-			scratchCap = entries
-		}
-		inFlight := cfg.Computers*cfg.MailboxCap + pairs + cfg.Computers
-		denseOK := e.ownerIsMod && (cfg.AccumMode == AccumAuto || cfg.AccumMode == AccumDense)
-		sparseOK := !denseOK || cfg.AccumMode == AccumAuto
-		if denseOK {
-			slabBytes := int(e.maxOwned*8 + (e.maxOwned+63)/64*8)
-			e.pool.warmSlabs(warmCount(inFlight, slabBytes, warmBytesCap))
-		}
-		if sparseOK {
-			e.pool.warmTables(pairs, entries)
-			e.pool.warmBufs(warmCount(inFlight, entries*16, warmBytesCap), entries)
-		}
+	inFlight := cfg.Computers*cfg.MailboxCap + cfg.Dispatchers*cfg.Computers + cfg.Computers
+	if e.combiner != nil {
+		slabBytes := int(e.maxOwned*8 + (e.maxOwned+63)/64*8)
+		e.pool.warmSlabs(warmCount(inFlight, slabBytes, warmBytesCap))
+		return
 	}
-	// Legacy batch path (non-combiner programs, off mode) plus one sort
-	// scratch per dispatcher.
-	nb := cfg.Computers*cfg.MailboxCap + pairs + cfg.Dispatchers
-	e.pool.warmBufs(warmCount(nb, cfg.BatchSize*16, warmBytesCap), cfg.BatchSize)
-	e.pool.warmBufs(cfg.Dispatchers, scratchCap)
+	e.pool.warmBufs(warmCount(inFlight, cfg.BatchSize*16, warmBytesCap))
 }
 
 // warmCount caps a prewarm count so n buffers of bytesEach stay within
@@ -237,34 +195,14 @@ func warmCount(n, bytesEach, budget int) int {
 	return n
 }
 
-// denseActiveDenom is the adaptive switch threshold: AccumAuto picks the
-// dense slab when at least 1/denom of all vertices are active this
-// superstep, the sparse table otherwise. At 16 bytes per slab slot vs
-// ~21 bytes per occupied sparse entry (key+value at ≤75% load), dense
-// wins comfortably above this fraction and the slab's O(|V|/Computers)
-// flush scan stays amortised.
-const denseActiveDenom = 8
-
-// accumModeFor resolves the effective accumulator mode for the superstep
-// about to run. Must be called after vf.Begin (it reads the active-set
-// count Begin just snapshotted). Never returns AccumAuto.
-func (e *Engine) accumModeFor() AccumMode {
-	if e.combiner == nil || e.cfg.AccumMode == AccumOff {
-		return AccumOff
-	}
-	switch e.cfg.AccumMode {
-	case AccumDense:
-		if e.ownerIsMod {
-			return AccumDense
-		}
-		return AccumSparse // dense indexing requires mod ownership
-	case AccumSparse:
-		return AccumSparse
-	}
-	if e.ownerIsMod && e.vf.ActiveCount()*denseActiveDenom >= e.vf.NumVertices() {
+// accumMode reports the message path every superstep of this engine
+// takes: dense source-side accumulation for combiner programs, the
+// per-message batch path otherwise.
+func (e *Engine) accumMode() AccumMode {
+	if e.combiner != nil {
 		return AccumDense
 	}
-	return AccumSparse
+	return AccumOff
 }
 
 // spawn builds a fresh worker crew: manager mailbox, per-worker
@@ -520,12 +458,9 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 	}
 	t0 := now()
 
-	// ITERATION_START to every dispatcher, carrying the message-path
-	// decision for this superstep (adaptive dense/sparse accumulation,
-	// resolved from the active-set count Begin just snapshotted).
-	mode := e.accumModeFor()
+	// ITERATION_START to every dispatcher.
 	for _, mb := range e.toDisp {
-		if err := mb.Put(workerMsg{kind: kindIterationStart, step: step, accum: mode}); err != nil {
+		if err := mb.Put(workerMsg{kind: kindIterationStart, step: step}); err != nil {
 			return false, &stepError{step: step, phase: "dispatch", err: err, retryable: false}
 		}
 	}
@@ -619,7 +554,7 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 		digest = e.digest(step)
 	}
 
-	st := StepStats{Step: step, Accum: mode, Messages: messages, Delivered: delivered, Updates: updates, Aggregate: aggVal, Digest: digest, Duration: now().Sub(t0)}
+	st := StepStats{Step: step, Accum: e.accumMode(), Messages: messages, Delivered: delivered, Updates: updates, Aggregate: aggVal, Digest: digest, Duration: now().Sub(t0)}
 	res.Steps = append(res.Steps, st)
 	res.Supersteps++
 	res.Messages += messages

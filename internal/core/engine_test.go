@@ -109,12 +109,19 @@ func randomGraph(t testing.TB, seed int64, v int64, e int) *graph.CSR {
 
 // refRun is a deterministic serial executor with engine semantics (a
 // duplicate of algorithms.ReferenceRun, local to avoid an import cycle).
+// A program implementing Combiner runs in combining mode: each
+// destination's messages fold with CombineMsg in generation order and
+// Compute runs once per destination — what the engine's dense path does
+// with one dispatcher, one computer and barrier-only flushes.
 func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 	n := g.NumVertices
 	vals := make([]uint64, n)
 	active := make([]bool, n)
 	upd := make([]uint64, n)
 	touched := make([]bool, n)
+	c, combining := p.(Combiner)
+	pending := make([]uint64, n)
+	hasPending := make([]bool, n)
 	for v := int64(0); v < n; v++ {
 		vals[v], active[v] = p.Init(v)
 	}
@@ -122,6 +129,19 @@ func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 		var msgs, updates int64
 		for i := range touched {
 			touched[i] = false
+		}
+		apply := func(d int64, mv uint64) {
+			first := !touched[d]
+			cur := vals[d]
+			if !first {
+				cur = upd[d]
+			}
+			nv, changed := p.Compute(d, cur, mv, first)
+			if changed {
+				upd[d] = nv
+				touched[d] = true
+				updates++
+			}
 		}
 		for v := int64(0); v < n; v++ {
 			if !active[v] {
@@ -135,17 +155,20 @@ func refRun(g *graph.CSR, p Program, maxSteps int) []uint64 {
 				}
 				msgs++
 				d := int64(dst)
-				first := !touched[d]
-				cur := vals[d]
-				if !first {
-					cur = upd[d]
+				switch {
+				case !combining:
+					apply(d, mv)
+				case hasPending[d]:
+					pending[d] = c.CombineMsg(pending[d], mv)
+				default:
+					pending[d], hasPending[d] = mv, true
 				}
-				nv, changed := p.Compute(d, cur, mv, first)
-				if changed {
-					upd[d] = nv
-					touched[d] = true
-					updates++
-				}
+			}
+		}
+		for d, ok := range hasPending {
+			if ok {
+				hasPending[d] = false
+				apply(int64(d), pending[d])
 			}
 		}
 		for v := int64(0); v < n; v++ {

@@ -1,17 +1,14 @@
 package core
 
-import (
-	"math/bits"
-	"sync"
-)
+import "sync"
 
 // arena is the engine-owned memory pool behind the message hot path.
 //
-// The accumulator machinery recycles three kinds of buffers at high
-// rate: dense slabs (one fixed geometry per engine), sparse accumulator
-// tables, and []Message buffers (legacy batches, sparse drain segments,
-// and sort scratch). Earlier revisions used sync.Pool, but the garbage
-// collector empties those between cycles, so a multi-second run kept
+// The message path recycles two kinds of buffers at high rate, each of
+// one fixed geometry per engine: dense accumulator slabs for combiner
+// programs, and []Message batches for the per-message path. Earlier
+// revisions used sync.Pool, but the garbage collector empties those
+// between cycles, so a multi-second run kept
 // re-allocating megabyte slabs it had just released — the alloc/msg
 // regression BENCH_9f06539.json records. The arena instead holds
 // explicit free lists owned by the engine: nothing is ever dropped
@@ -23,10 +20,9 @@ import (
 //   - A buffer has exactly one owner at a time: the dispatcher filling
 //     it, the mailbox carrying it, the computer draining it, or the
 //     arena. Handoff transfers ownership; double-release is a bug.
-//   - Buffers come out of the arena empty (slab bits clear, table keys
-//     zero, message buffers length 0). Release re-establishes that
-//     invariant, so an aborted superstep's partial state can never leak
-//     into a retry.
+//   - Buffers come out of the arena empty (slab bits clear, message
+//     buffers length 0). Release re-establishes that invariant, so an
+//     aborted superstep's partial state can never leak into a retry.
 //   - In race/poison builds every release also overwrites the payload
 //     bytes with a poison pattern, so any read of recycled memory that
 //     slipped past the presence metadata yields loud garbage instead of
@@ -42,14 +38,9 @@ type arena struct {
 	slabs    []*denseSeg
 	slabVals int64
 
-	// tables holds sparse accumulator tables, bucketed by capacity
-	// (always a power of two).
-	tables map[int][]*sparseAcc
-
-	// bufs holds []Message buffers bucketed by floor-log2 of capacity:
-	// a buffer in bucket k has cap in [2^k, 2^(k+1)), so any buffer in
-	// bucket ceilLog2(want) or above satisfies a request for want.
-	bufs [48][][]Message
+	// bufs holds []Message batches, all of capacity bufCap.
+	bufs   [][]Message
+	bufCap int
 }
 
 // poisonWord is the value poison-on-release paints over recycled
@@ -62,8 +53,8 @@ const poisonWord uint64 = 0xDEADBEEFDEADBEEF
 // to exercise the recycling protocol in regular builds.
 var poisonReleases = poisonDefault
 
-func newArena(slabVals int64) *arena {
-	return &arena{slabVals: slabVals, tables: map[int][]*sparseAcc{}}
+func newArena(slabVals int64, bufCap int) *arena {
+	return &arena{slabVals: slabVals, bufCap: bufCap}
 }
 
 // getSlab returns an empty dense slab (count 0, bits clear).
@@ -109,109 +100,38 @@ func (a *arena) putSlab(s *denseSeg) {
 	a.mu.Unlock()
 }
 
-// tableCapFor returns the sparse-table capacity that holds entries
-// occupied slots without exceeding the 3/4 load factor that triggers
-// growth — i.e. a table of this capacity never grows before the flush
-// budget drains it.
-func tableCapFor(entries int) int {
-	want := entries*4/3 + 1
-	if want < sparseMinCap {
-		want = sparseMinCap
-	}
-	return ceilPow2(want)
-}
-
-func ceilPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
-// getTable returns an empty sparse accumulator with capacity at least
-// tableCapFor(entries).
+// getBuf returns an empty []Message of capacity bufCap.
 //
 //gpsa:noalloc
-func (a *arena) getTable(entries int) *sparseAcc {
-	capacity := tableCapFor(entries)
+func (a *arena) getBuf() []Message {
 	a.mu.Lock()
-	if list := a.tables[capacity]; len(list) > 0 {
-		s := list[len(list)-1]
-		a.tables[capacity] = list[:len(list)-1]
+	if n := len(a.bufs); n > 0 {
+		b := a.bufs[n-1]
+		a.bufs = a.bufs[:n-1]
 		a.mu.Unlock()
-		return s
+		return b
 	}
 	a.mu.Unlock()
-	s := &sparseAcc{} //lint:noalloc table construction is the arena's sanctioned cold path (free-list miss)
-	s.init(capacity)
-	return s
+	return make([]Message, 0, a.bufCap)
 }
 
-// putTable recycles a sparse accumulator, zeroing its keys (the
-// emptiness invariant) and poisoning its values in poison builds.
-//
-//gpsa:noalloc
-func (a *arena) putTable(s *sparseAcc) {
-	if s == nil {
-		return
-	}
-	for i := range s.keys {
-		s.keys[i] = 0
-	}
-	s.n = 0
-	if poisonReleases {
-		for i := range s.vals {
-			s.vals[i] = poisonWord
-		}
-	}
-	a.mu.Lock()
-	//lint:noalloc free-list growth, bounded by the in-flight table count and amortized by prewarm
-	a.tables[len(s.keys)] = append(a.tables[len(s.keys)], s)
-	a.mu.Unlock()
-}
-
-// getBuf returns an empty []Message with capacity at least want.
-//
-//gpsa:noalloc
-func (a *arena) getBuf(want int) []Message {
-	if want < 1 {
-		want = 1
-	}
-	k := bits.Len(uint(want - 1)) // ceil log2: smallest bucket whose floor capacity >= want
-	if want == 1 {
-		k = 0
-	}
-	a.mu.Lock()
-	for j := k; j < len(a.bufs); j++ {
-		if list := a.bufs[j]; len(list) > 0 {
-			b := list[len(list)-1]
-			a.bufs[j] = list[:len(list)-1]
-			a.mu.Unlock()
-			return b[:0]
-		}
-	}
-	a.mu.Unlock()
-	return make([]Message, 0, ceilPow2(want))
-}
-
-// putBuf recycles a message buffer into the bucket of its capacity.
+// putBuf recycles a message buffer, poisoning its payload in poison
+// builds.
 //
 //gpsa:noalloc
 func (a *arena) putBuf(b []Message) {
-	c := cap(b)
-	if c == 0 {
-		return
+	if cap(b) != a.bufCap {
+		return // foreign geometry: let it go
 	}
 	if poisonReleases {
-		b = b[:c]
+		b = b[:cap(b)]
 		for i := range b {
 			b[i] = Message{Dst: 0xDEADBEEF, Val: poisonWord}
 		}
 	}
-	k := bits.Len(uint(c)) - 1 // floor log2
 	a.mu.Lock()
 	//lint:noalloc free-list growth, bounded by the in-flight buffer count and amortized by prewarm
-	a.bufs[k] = append(a.bufs[k], b[:0])
+	a.bufs = append(a.bufs, b[:0])
 	a.mu.Unlock()
 }
 
@@ -229,80 +149,13 @@ func (a *arena) warmSlabs(n int) {
 	}
 }
 
-// warmTables stocks n sparse tables sized for entries occupied slots.
-func (a *arena) warmTables(n, entries int) {
-	for i := 0; i < n; i++ {
-		a.putTable(a.getTable(entries))
-	}
-}
-
-// warmBufs stocks n message buffers of capacity at least capEach.
-func (a *arena) warmBufs(n, capEach int) {
+// warmBufs stocks n message buffers.
+func (a *arena) warmBufs(n int) {
 	warm := make([][]Message, 0, n)
 	for i := 0; i < n; i++ {
-		warm = append(warm, a.getBuf(capEach))
+		warm = append(warm, a.getBuf())
 	}
 	for _, b := range warm {
 		a.putBuf(b)
-	}
-}
-
-// sortMessagesByDst stable-sorts ms by destination using scratch (cap
-// >= len(ms)) — a bottom-up merge sort that allocates nothing, unlike
-// sort.SliceStable whose closure and swapper escape on every call.
-// Stability is what keeps same-destination messages folding in
-// generation order, aligning the legacy combine path bit-for-bit with
-// the source-side accumulators even for float sums.
-//
-//gpsa:noalloc
-func sortMessagesByDst(ms, scratch []Message) {
-	n := len(ms)
-	if n < 2 {
-		return
-	}
-	const runLen = 24
-	for lo := 0; lo < n; lo += runLen {
-		hi := lo + runLen
-		if hi > n {
-			hi = n
-		}
-		// Insertion sort is stable.
-		for i := lo + 1; i < hi; i++ {
-			m := ms[i]
-			j := i
-			for j > lo && ms[j-1].Dst > m.Dst {
-				ms[j] = ms[j-1]
-				j--
-			}
-			ms[j] = m
-		}
-	}
-	scratch = scratch[:cap(scratch)]
-	for width := runLen; width < n; width *= 2 {
-		for lo := 0; lo+width < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if hi > n {
-				hi = n
-			}
-			// Merge ms[lo:mid] and ms[mid:hi], left side first on ties.
-			copy(scratch, ms[lo:mid])
-			l, r, o := 0, mid, lo
-			left := scratch[:mid-lo]
-			for l < len(left) && r < hi {
-				if ms[r].Dst < left[l].Dst {
-					ms[o] = ms[r]
-					r++
-				} else {
-					ms[o] = left[l]
-					l++
-				}
-				o++
-			}
-			for l < len(left) {
-				ms[o] = left[l]
-				l++
-				o++
-			}
-		}
 	}
 }

@@ -100,10 +100,9 @@ func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) 
 // with -resume, and requires the surviving value file to end bit-identical
 // to the uninterrupted baseline. 5 cases x 7 kills = 35 randomized
 // kill points per run of the harness. The pagerank case runs the default
-// message path (adaptive source-side accumulation — dense, since
-// PageRank keeps every vertex active); pagerank-sparse pins the sparse
-// accumulator so both segment paths face the kill schedule;
-// pagerank-prefetch forces the async CSR prefetcher on, so kills land
+// message path (dense source-side accumulation flushed at the 256 KiB
+// budget); pagerank-budget shrinks the budget to 512 bytes so kills land
+// between many mid-dispatch slab handoffs; pagerank-prefetch forces the async CSR prefetcher on, so kills land
 // while madvise windows are in flight ahead of the edge cursor.
 func TestTortureKillResume(t *testing.T) {
 	if testing.Short() {
@@ -116,7 +115,7 @@ func TestTortureKillResume(t *testing.T) {
 		seed  int64
 	}{
 		{"pagerank", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12"}, 101},
-		{"pagerank-sparse", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-accum", "sparse"}, 404},
+		{"pagerank-budget", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-accum-budget", "512"}, 404},
 		{"pagerank-prefetch", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-prefetch"}, 505},
 		{"bfs", func() string { return directedGraph }, []string{"-algo", "bfs", "-root", "0"}, 202},
 		{"cc", func() string { return symmetricGraph }, []string{"-algo", "cc"}, 303},
@@ -320,7 +319,7 @@ func TestTortureKillDuringResume(t *testing.T) {
 		seed  int64
 	}{
 		{"pagerank", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12"}, 111},
-		{"pagerank-sparse", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-accum", "sparse"}, 444},
+		{"pagerank-budget", func() string { return directedGraph }, []string{"-algo", "pagerank", "-supersteps", "12", "-accum-budget", "512"}, 444},
 		{"bfs", func() string { return directedGraph }, []string{"-algo", "bfs", "-root", "0"}, 222},
 		{"cc", func() string { return symmetricGraph }, []string{"-algo", "cc"}, 333},
 	}

@@ -38,9 +38,12 @@ const (
 	// CtrAccumDelivered counts accumulator entries handed to computing
 	// workers (the post-combining message volume on the accum path).
 	CtrAccumDelivered = "core.accum.delivered"
-	// CtrAccumDenseSegs and CtrAccumSparseSegs count segment handoffs —
-	// the mailbox traffic that replaces per-batch messages.
-	CtrAccumDenseSegs  = "core.accum.segments.dense"
+	// CtrAccumDenseSegs counts dense segment handoffs — the mailbox
+	// traffic that replaces per-batch messages.
+	CtrAccumDenseSegs = "core.accum.segments.dense"
+	// CtrAccumSparseSegs always reads 0: the engine no longer has a
+	// sparse accumulator. It stays because the frozen benchmark harness
+	// (perfbench/) reports it as a per-layer metric.
 	CtrAccumSparseSegs = "core.accum.segments.sparse"
 
 	// CtrPrefetchWindows counts WILLNEED windows the async CSR prefetch
