@@ -88,9 +88,11 @@ disktorture:
 chaos:
 	GPSA_CHAOS=1 $(GO) test -count=1 -v -timeout 600s -run 'TestChaos' ./internal/chaostest
 
+# vet also fails when gofmt would reformat any file (gofmt -l lists
+# them but always exits 0).
 vet:
 	$(GO) vet ./...
-	gofmt -l .
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Message hot-path benchmark trajectory: every algorithm on both message
 # paths (off = DisableCombining, dense = source-side accumulation) on a

@@ -189,22 +189,7 @@ func (v *Values) Uint(x int64) uint64 { return v.vf.Value(x) }
 // whole-result equivalence check: bit-identical values imply equal
 // digests, which is how the serving layer compares a resumed job's
 // outcome against an undisturbed run's.
-func (v *Values) Digest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	n := v.vf.NumVertices()
-	for i := int64(0); i < n; i++ {
-		w := v.vf.Value(i)
-		for b := 0; b < 8; b++ {
-			h ^= (w >> (8 * b)) & 0xFF
-			h *= prime64
-		}
-	}
-	return h
-}
+func (v *Values) Digest() uint64 { return v.vf.Digest() }
 
 // Close releases the store.
 func (v *Values) Close() error {

@@ -1,7 +1,6 @@
 package chaostest
 
 import (
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -10,20 +9,16 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/torture"
 )
 
 var fx *Fixture
 
 func TestMain(m *testing.M) {
-	var err error
-	fx, err = NewFixture()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	code := m.Run()
-	fx.Close()
-	os.Exit(code)
+	torture.Main(m, func(dir string) (err error) {
+		fx, err = NewFixture(dir)
+		return err
+	})
 }
 
 // runScenario executes one seeded chaos schedule and holds the disturbed
@@ -59,8 +54,8 @@ func runScenario(t *testing.T, sc Scenario) *fault.Plan {
 		}
 	}
 	for _, in := range sc.Injections {
-		if plan.Fired(in.Site) == 0 {
-			t.Fatalf("chaos site %s armed but never fired (hits %d); the schedule tested nothing", in.Site, plan.Hits(in.Site))
+		if !torture.RequireFired(t, plan.Fired, in.Site) {
+			t.FailNow()
 		}
 	}
 	assertCounter := func(what string, resCount int64, name string, before int64) {

@@ -8,15 +8,14 @@
 // (superstep rollback, node rejoin, frame checksums) provably exercised
 // via the cluster.* metrics.
 //
-// The package holds only the harness plumbing; the torture schedules
-// live in its tests. `make chaos` runs the full seeded schedule
+// The package holds the Fixture and Scenario table; the torture
+// schedules live in its tests, and the graph writer and non-vacuity
+// check are internal/torture. `make chaos` runs the full seeded schedule
 // (GPSA_CHAOS=1); the smoke scenario runs with the ordinary test suite.
 package chaostest
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -24,13 +23,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gen"
-	"repro/internal/graph"
+	"repro/internal/torture"
 )
 
 // Fixture holds the torture graphs and memoizes undisturbed baseline
 // runs, so scenarios sharing an algorithm pay for one baseline.
 type Fixture struct {
-	dir       string
 	directed  string
 	symmetric string
 
@@ -38,36 +36,20 @@ type Fixture struct {
 	baselines map[string][]uint64
 }
 
-// NewFixture generates the torture graphs under a fresh temp dir: a
-// fixed-seed R-MAT power-law graph for PageRank/BFS and its symmetrized
-// twin for CC. Fixed seeds keep every run of the harness on the same
-// inputs.
-func NewFixture() (*Fixture, error) {
-	dir, err := os.MkdirTemp("", "gpsa-chaos-*")
-	if err != nil {
-		return nil, err
-	}
-	f := &Fixture{dir: dir, baselines: make(map[string][]uint64)}
+// NewFixture generates the torture graphs under dir: a fixed-seed R-MAT
+// power-law graph for PageRank/BFS and its symmetrized twin for CC.
+// Fixed seeds keep every run of the harness on the same inputs.
+func NewFixture(dir string) (*Fixture, error) {
 	g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 400, Edges: 2600, Seed: 7})
 	if err != nil {
-		os.RemoveAll(dir)
 		return nil, err
 	}
-	f.directed = filepath.Join(dir, "chaos.gpsa")
-	if err := graph.WriteFile(f.directed, g); err != nil {
-		os.RemoveAll(dir)
+	directed, symmetric, err := torture.WriteGraphs(dir, "chaos", g)
+	if err != nil {
 		return nil, err
 	}
-	f.symmetric = filepath.Join(dir, "chaos-sym.gpsa")
-	if err := graph.WriteFile(f.symmetric, g.Symmetrize()); err != nil {
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	return f, nil
+	return &Fixture{directed: directed, symmetric: symmetric, baselines: make(map[string][]uint64)}, nil
 }
-
-// Close removes the fixture's graphs.
-func (f *Fixture) Close() { os.RemoveAll(f.dir) }
 
 // Graph returns the path of the directed or symmetrized torture graph.
 func (f *Fixture) Graph(symmetric bool) string {

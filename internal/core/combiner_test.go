@@ -62,23 +62,6 @@ func TestNonCombinableProgramDeliversEverything(t *testing.T) {
 	}
 }
 
-func TestIntervalsByVertices(t *testing.T) {
-	g := randomGraph(t, 35, 400, 2000).Symmetrize()
-	want := refRun(g, ccProg{}, 100)
-	eng, vf := setup(t, g, ccProg{}, Config{
-		Intervals:   IntervalsByVertices,
-		Dispatchers: 4,
-	})
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := int64(0); v < g.NumVertices; v++ {
-		if vf.Value(v) != want[v] {
-			t.Fatalf("vertex %d mismatch under vertex-balanced intervals", v)
-		}
-	}
-}
-
 func TestPerWorkerStatsSumToTotals(t *testing.T) {
 	g := randomGraph(t, 37, 300, 1800)
 	eng, _ := setup(t, g, prProg{}, Config{MaxSupersteps: 3, Dispatchers: 3, Computers: 4})

@@ -11,17 +11,6 @@ import (
 // same total budget the original run had.
 const DefaultMaxSupersteps = 100
 
-// IntervalStrategy selects dispatcher interval balancing.
-type IntervalStrategy int
-
-const (
-	// IntervalsByEdges balances dispatcher intervals by edge count
-	// (default).
-	IntervalsByEdges IntervalStrategy = iota
-	// IntervalsByVertices balances by vertex count.
-	IntervalsByVertices
-)
-
 // Config tunes the engine. The zero value selects sensible defaults.
 type Config struct {
 	// Dispatchers is the number of dispatcher actors (default: half the
@@ -88,12 +77,6 @@ type Config struct {
 	// prefetch actor keeps ahead of its dispatcher's cursor (default
 	// 8 MiB). The DONTNEED trail follows one window behind the cursor.
 	PrefetchWindow int
-
-	// Intervals selects how the edge file is split across dispatchers:
-	// balanced by edge count (default; the paper's "assign vertices to
-	// the dispatcher worker by the average edges") or by vertex count
-	// (the paper's "simple mod algorithm" alternative).
-	Intervals IntervalStrategy
 
 	// MaxStepRetries is how many times the manager retries a failed
 	// superstep (worker panic or failure, watchdog timeout, failed

@@ -314,11 +314,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	e.runCtx = ctx
 	cfg := e.cfg
-	if cfg.Intervals == IntervalsByVertices {
-		e.intervals = e.gf.PartitionByVertices(cfg.Dispatchers)
-	} else {
-		e.intervals = e.gf.Partition(cfg.Dispatchers)
-	}
+	e.intervals = e.gf.Partition(cfg.Dispatchers)
 	res := &Result{
 		DispatcherMessages: make([]int64, len(e.intervals)),
 		ComputerUpdates:    make([]int64, cfg.Computers),
@@ -551,7 +547,7 @@ func (e *Engine) runStep(step int64, res *Result) (converged bool, err error) {
 
 	var digest uint64
 	if e.cfg.Digests {
-		digest = e.digest(step)
+		digest = e.vf.Digest() // the commit made step's update column the dispatch column
 	}
 
 	st := StepStats{Step: step, Accum: e.accumMode(), Messages: messages, Delivered: delivered, Updates: updates, Aggregate: aggVal, Digest: digest, Duration: now().Sub(t0)}

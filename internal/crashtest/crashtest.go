@@ -5,159 +5,6 @@
 // anywhere at all), restarts it with -resume, and asserts the final
 // vertex values are bit-identical to an uninterrupted run.
 //
-// The package holds only the harness plumbing; the torture scenarios
-// live in its tests (make torture).
+// The scenarios live in its tests (make torture); the subprocess,
+// graph and sealed-state plumbing is internal/torture.
 package crashtest
-
-import (
-	"bytes"
-	"errors"
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"syscall"
-	"time"
-
-	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/vertexfile"
-)
-
-// moduleRoot walks up from the working directory to the directory
-// holding go.mod, which is where `go build ./cmd/gpsa` must run.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", errors.New("crashtest: go.mod not found above working directory")
-		}
-		dir = parent
-	}
-}
-
-// buildGPSA compiles cmd/gpsa into dir and returns the binary path.
-func buildGPSA(dir string) (string, error) {
-	root, err := moduleRoot()
-	if err != nil {
-		return "", err
-	}
-	bin := filepath.Join(dir, "gpsa")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/gpsa")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		return "", fmt.Errorf("crashtest: building gpsa: %v\n%s", err, out)
-	}
-	return bin, nil
-}
-
-// writeGraphs generates the torture inputs under dir: a random directed
-// graph for PageRank/BFS and its symmetrized twin for CC. Fixed seeds
-// keep every run of the harness on the same graphs.
-func writeGraphs(dir string) (directed, symmetric string, err error) {
-	edges, err := gen.ErdosRenyi(300, 1500, 42, false)
-	if err != nil {
-		return "", "", err
-	}
-	g, err := graph.FromEdges(edges, 300, false)
-	if err != nil {
-		return "", "", err
-	}
-	directed = filepath.Join(dir, "torture.gpsa")
-	if err := graph.WriteFile(directed, g); err != nil {
-		return "", "", err
-	}
-	symmetric = filepath.Join(dir, "torture-sym.gpsa")
-	if err := graph.WriteFile(symmetric, g.Symmetrize()); err != nil {
-		return "", "", err
-	}
-	return directed, symmetric, nil
-}
-
-// runResult captures one subprocess run.
-type runResult struct {
-	stdout, stderr string
-	exitCode       int  // -1 when signaled
-	killed         bool // terminated by SIGKILL
-}
-
-// runBinary executes the gpsa binary with args. faultSpec, when
-// non-empty, is exported as GPSA_FAULT. killAfter, when positive, sends
-// the process SIGKILL from outside after that wall-clock delay — the
-// jitter kills that land between fault sites. interruptAfter likewise
-// sends SIGINT (graceful stop).
-func runBinary(bin string, args []string, faultSpec string, killAfter, interruptAfter time.Duration) (runResult, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), "GPSA_FAULT="+faultSpec)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Start(); err != nil {
-		return runResult{}, err
-	}
-	if killAfter > 0 {
-		timer := time.AfterFunc(killAfter, func() { cmd.Process.Kill() }) //nolint:errcheck
-		defer timer.Stop()
-	}
-	if interruptAfter > 0 {
-		timer := time.AfterFunc(interruptAfter, func() { cmd.Process.Signal(syscall.SIGINT) }) //nolint:errcheck
-		defer timer.Stop()
-	}
-	err := cmd.Wait()
-	res := runResult{stdout: stdout.String(), stderr: stderr.String()}
-	if err == nil {
-		return res, nil
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		return res, err
-	}
-	res.exitCode = ee.ExitCode()
-	if ws, ok := ee.Sys().(syscall.WaitStatus); ok && ws.Signaled() && ws.Signal() == syscall.SIGKILL {
-		res.killed = true
-	}
-	return res, nil
-}
-
-// fileState is the durable outcome of a run: every vertex payload plus
-// the sealed progress counters, the exact data bit-identical resume is
-// judged on.
-type fileState struct {
-	values    []uint64
-	epoch     int64
-	converged bool
-}
-
-// readState opens a value file and snapshots its payloads and header.
-// The file must be cleanly sealed — reading an in-progress file would
-// compare half-finished state.
-func readState(path string) (fileState, error) {
-	vf, err := vertexfile.Open(path)
-	if err != nil {
-		return fileState{}, err
-	}
-	defer vf.Close()
-	if vf.InProgress() {
-		return fileState{}, fmt.Errorf("crashtest: %s not cleanly sealed", path)
-	}
-	return fileState{values: vf.Values(), epoch: vf.Epoch(), converged: vf.Converged()}, nil
-}
-
-// equal reports whether two file states are bit-identical.
-func (s fileState) equal(o fileState) bool {
-	if s.epoch != o.epoch || s.converged != o.converged || len(s.values) != len(o.values) {
-		return false
-	}
-	for i := range s.values {
-		if s.values[i] != o.values[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -1,7 +1,6 @@
 package crashtest
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	gpsa "repro"
 	"repro/internal/fault"
+	"repro/internal/torture"
 	"repro/internal/vertexfile"
 )
 
@@ -24,31 +25,16 @@ var (
 // the whole package. Skipped under -short, where only the in-process
 // regression tests run.
 func TestMain(m *testing.M) {
-	flag.Parse()
-	dir := ""
-	if !testing.Short() {
-		var err error
-		if dir, err = os.MkdirTemp("", "gpsa-crashtest-*"); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	torture.Main(m, func(dir string) (err error) {
+		if testing.Short() {
+			return nil
 		}
-		fatal := func(err error) {
-			os.RemoveAll(dir)
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if gpsaBin, err = torture.Binary("gpsa"); err != nil {
+			return err
 		}
-		if gpsaBin, err = buildGPSA(dir); err != nil {
-			fatal(err)
-		}
-		if directedGraph, symmetricGraph, err = writeGraphs(dir); err != nil {
-			fatal(err)
-		}
-	}
-	code := m.Run()
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
-	os.Exit(code)
+		directedGraph, symmetricGraph, err = torture.WriteERGraphs(dir)
+		return err
+	})
 }
 
 // killSites are the fault sites a torture cycle may park a SIGKILL at —
@@ -62,32 +48,20 @@ var killSites = []string{
 	fault.SiteKillCommitDone,
 }
 
-// resumable reports whether path currently holds a value file a -resume
-// run can continue from (a kill before Create finished leaves it
-// missing or truncated).
-func resumable(path string) bool {
-	vf, err := vertexfile.Open(path)
-	if err != nil {
-		return false
-	}
-	vf.Close()
-	return true
-}
-
 // runBaseline executes one uninterrupted run into its own value file and
 // returns the sealed state every tortured run must reproduce exactly.
-func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) fileState {
+func runBaseline(t *testing.T, graphPath string, algoArgs []string, dir string) torture.State {
 	t.Helper()
 	values := filepath.Join(dir, "baseline.gpvf")
 	args := append([]string{"-graph", graphPath, "-dispatchers", "1", "-values", values}, algoArgs...)
-	res, err := runBinary(gpsaBin, args, "", 0, 0)
+	res, err := torture.Run(gpsaBin, args, "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.exitCode != 0 {
-		t.Fatalf("baseline run exited %d\nstdout:\n%s\nstderr:\n%s", res.exitCode, res.stdout, res.stderr)
+	if res.Code != 0 {
+		t.Fatalf("baseline run exited %d\nstdout:\n%s\nstderr:\n%s", res.Code, res.Stdout, res.Stderr)
 	}
-	state, err := readState(values)
+	state, err := torture.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +116,7 @@ func tortureCase(t *testing.T, graphPath string, algoArgs []string, wantKills in
 			t.Fatalf("only %d of %d kills after %d attempts", kills, wantKills, attempt)
 		}
 		args := commonArgs
-		if resumable(values) {
+		if gpsa.Resumable(values) {
 			args = append(append([]string{}, commonArgs...), "-resume")
 			resumes++
 		} else {
@@ -157,61 +131,61 @@ func tortureCase(t *testing.T, graphPath string, algoArgs []string, wantKills in
 		} else {
 			spec = fmt.Sprintf("site=%s,after=%d", killSites[rng.Intn(len(killSites))], 1+rng.Intn(3))
 		}
-		res, err := runBinary(gpsaBin, args, spec, killAfter, 0)
+		res, err := torture.Run(gpsaBin, args, spec, killAfter, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch {
-		case res.killed:
+		case res.Killed:
 			kills++
-		case res.exitCode == 0:
+		case res.Code == 0:
 			// Finished before the kill fired. The completed state must
 			// already match the baseline; restart fresh for more kills.
-			state, rerr := readState(values)
+			state, rerr := torture.ReadState(values)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			if !state.equal(baseline) {
+			if !state.Equal(baseline) {
 				t.Fatalf("completed torture run diverged from baseline: epoch %d vs %d, converged %v vs %v",
-					state.epoch, baseline.epoch, state.converged, baseline.converged)
+					state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
 			}
 			os.Remove(values)
 		default:
 			t.Fatalf("unexpected outcome (exit %d, plan %q, timer %v)\nstdout:\n%s\nstderr:\n%s",
-				res.exitCode, spec, killAfter, res.stdout, res.stderr)
+				res.Code, spec, killAfter, res.Stdout, res.Stderr)
 		}
 	}
 
 	// Drive the survivor to completion with clean resumes.
 	for finished := false; !finished; {
 		args := commonArgs
-		wasResume := resumable(values)
+		wasResume := gpsa.Resumable(values)
 		if wasResume {
 			args = append(append([]string{}, commonArgs...), "-resume")
 		} else {
 			os.Remove(values)
 		}
-		res, err := runBinary(gpsaBin, args, "", 0, 0)
+		res, err := torture.Run(gpsaBin, args, "", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.exitCode != 0 {
-			t.Fatalf("final resume exited %d\nstdout:\n%s\nstderr:\n%s", res.exitCode, res.stdout, res.stderr)
+		if res.Code != 0 {
+			t.Fatalf("final resume exited %d\nstdout:\n%s\nstderr:\n%s", res.Code, res.Stdout, res.Stderr)
 		}
-		if wasResume && !strings.Contains(res.stdout, "resumed at superstep") {
-			t.Fatalf("resumed run did not report its resume point:\n%s", res.stdout)
+		if wasResume && !strings.Contains(res.Stdout, "resumed at superstep") {
+			t.Fatalf("resumed run did not report its resume point:\n%s", res.Stdout)
 		}
 		finished = true
 	}
-	state, err := readState(values)
+	state, err := torture.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.equal(baseline) {
+	if !state.Equal(baseline) {
 		t.Fatalf("after %d kills and %d resumes: final state diverged from baseline (epoch %d vs %d, converged %v vs %v)",
-			kills, resumes, state.epoch, baseline.epoch, state.converged, baseline.converged)
+			kills, resumes, state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
 	}
-	t.Logf("%d SIGKILLs, %d resumes, final state bit-identical to baseline (epoch %d)", kills, resumes, state.epoch)
+	t.Logf("%d SIGKILLs, %d resumes, final state bit-identical to baseline (epoch %d)", kills, resumes, state.Epoch)
 }
 
 // TestInterruptSealsCleanly covers the graceful half of the contract:
@@ -231,15 +205,15 @@ func TestInterruptSealsCleanly(t *testing.T) {
 	args := append([]string{"-graph", directedGraph, "-dispatchers", "1", "-values", values}, algoArgs...)
 	// Stall every computed message so superstep 0 is still in flight when
 	// the SIGINT lands.
-	res, err := runBinary(gpsaBin, args, "site="+fault.SiteComputerStall+",count=-1,delay=2ms", 0, 400*time.Millisecond)
+	res, err := torture.Run(gpsaBin, args, "site="+fault.SiteComputerStall+",count=-1,delay=2ms", 0, 400*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.exitCode != 3 {
-		t.Fatalf("interrupted run exited %d, want 3\nstdout:\n%s\nstderr:\n%s", res.exitCode, res.stdout, res.stderr)
+	if res.Code != 3 {
+		t.Fatalf("interrupted run exited %d, want 3\nstdout:\n%s\nstderr:\n%s", res.Code, res.Stdout, res.Stderr)
 	}
-	if !strings.Contains(res.stderr, "resume with:") {
-		t.Fatalf("interrupted run did not print the resume command:\n%s", res.stderr)
+	if !strings.Contains(res.Stderr, "resume with:") {
+		t.Fatalf("interrupted run did not print the resume command:\n%s", res.Stderr)
 	}
 	vf, err := vertexfile.Open(values)
 	if err != nil {
@@ -251,22 +225,22 @@ func TestInterruptSealsCleanly(t *testing.T) {
 	}
 	vf.Close()
 
-	res, err = runBinary(gpsaBin, append(append([]string{}, args...), "-resume"), "", 0, 0)
+	res, err = torture.Run(gpsaBin, append(append([]string{}, args...), "-resume"), "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.exitCode != 0 {
-		t.Fatalf("resume after SIGINT exited %d\nstderr:\n%s", res.exitCode, res.stderr)
+	if res.Code != 0 {
+		t.Fatalf("resume after SIGINT exited %d\nstderr:\n%s", res.Code, res.Stderr)
 	}
-	if !strings.Contains(res.stdout, "resumed at superstep") {
-		t.Fatalf("resume output missing resume point:\n%s", res.stdout)
+	if !strings.Contains(res.Stdout, "resumed at superstep") {
+		t.Fatalf("resume output missing resume point:\n%s", res.Stdout)
 	}
-	state, err := readState(values)
+	state, err := torture.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.equal(baseline) {
-		t.Fatalf("resume after SIGINT diverged from baseline (epoch %d vs %d)", state.epoch, baseline.epoch)
+	if !state.Equal(baseline) {
+		t.Fatalf("resume after SIGINT diverged from baseline (epoch %d vs %d)", state.Epoch, baseline.Epoch)
 	}
 }
 
@@ -278,11 +252,11 @@ func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	runExit := func(args ...string) int {
 		t.Helper()
-		res, err := runBinary(gpsaBin, args, "", 0, 0)
+		res, err := torture.Run(gpsaBin, args, "", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.exitCode
+		return res.Code
 	}
 	if got := runExit(); got != 2 {
 		t.Errorf("no -graph: exit %d, want 2", got)
@@ -348,7 +322,7 @@ func killDuringResumeCase(t *testing.T, graphPath string, algoArgs []string, wan
 			t.Fatalf("only %d of %d resume-kills after %d attempts", resumeKills, wantResumeKills, attempt)
 		}
 		args := commonArgs
-		isResume := resumable(values)
+		isResume := gpsa.Resumable(values)
 		if isResume {
 			args = append(append([]string{}, commonArgs...), "-resume")
 		} else {
@@ -361,52 +335,52 @@ func killDuringResumeCase(t *testing.T, graphPath string, algoArgs []string, wan
 		} else {
 			spec = fmt.Sprintf("site=%s,after=%d", killSites[rng.Intn(len(killSites))], 1+rng.Intn(3))
 		}
-		res, err := runBinary(gpsaBin, args, spec, killAfter, 0)
+		res, err := torture.Run(gpsaBin, args, spec, killAfter, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch {
-		case res.killed:
+		case res.Killed:
 			if isResume {
 				resumeKills++
 			}
-		case res.exitCode == 0:
+		case res.Code == 0:
 			// Finished before the kill fired: verify and restart fresh.
-			state, rerr := readState(values)
+			state, rerr := torture.ReadState(values)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			if !state.equal(baseline) {
-				t.Fatalf("completed run diverged from baseline (epoch %d vs %d)", state.epoch, baseline.epoch)
+			if !state.Equal(baseline) {
+				t.Fatalf("completed run diverged from baseline (epoch %d vs %d)", state.Epoch, baseline.Epoch)
 			}
 			os.Remove(values)
 		default:
 			t.Fatalf("unexpected outcome (exit %d, plan %q, timer %v)\nstdout:\n%s\nstderr:\n%s",
-				res.exitCode, spec, killAfter, res.stdout, res.stderr)
+				res.Code, spec, killAfter, res.Stdout, res.Stderr)
 		}
 	}
 
 	// The multiply-killed survivor must still resume to the baseline.
-	if !resumable(values) {
+	if !gpsa.Resumable(values) {
 		t.Fatalf("survivor not resumable after %d resume-kills", resumeKills)
 	}
-	res, err := runBinary(gpsaBin, append(append([]string{}, commonArgs...), "-resume"), "", 0, 0)
+	res, err := torture.Run(gpsaBin, append(append([]string{}, commonArgs...), "-resume"), "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.exitCode != 0 {
-		t.Fatalf("final resume exited %d\nstdout:\n%s\nstderr:\n%s", res.exitCode, res.stdout, res.stderr)
+	if res.Code != 0 {
+		t.Fatalf("final resume exited %d\nstdout:\n%s\nstderr:\n%s", res.Code, res.Stdout, res.Stderr)
 	}
-	if !strings.Contains(res.stdout, "resumed at superstep") {
-		t.Fatalf("final resume did not report its resume point:\n%s", res.stdout)
+	if !strings.Contains(res.Stdout, "resumed at superstep") {
+		t.Fatalf("final resume did not report its resume point:\n%s", res.Stdout)
 	}
-	state, err := readState(values)
+	state, err := torture.ReadState(values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.equal(baseline) {
+	if !state.Equal(baseline) {
 		t.Fatalf("after %d kills-during-resume: final state diverged from baseline (epoch %d vs %d, converged %v vs %v)",
-			resumeKills, state.epoch, baseline.epoch, state.converged, baseline.converged)
+			resumeKills, state.Epoch, baseline.Epoch, state.Converged, baseline.Converged)
 	}
-	t.Logf("%d SIGKILLs landed inside -resume runs; final state bit-identical to baseline (epoch %d)", resumeKills, state.epoch)
+	t.Logf("%d SIGKILLs landed inside -resume runs; final state bit-identical to baseline (epoch %d)", resumeKills, state.Epoch)
 }

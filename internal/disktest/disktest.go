@@ -11,280 +11,35 @@
 // disk recovers to the bit-identical result. Silent corruption and
 // wedges are the two forbidden outcomes.
 //
-// The package holds only the harness plumbing; the storm schedules live
-// in its tests (make disktorture; the smoke slice runs in make check).
+// The storm schedules live in its tests (make disktorture; the smoke
+// slice runs in make check); the gpsa-serve client and the sealed-state
+// compare are internal/torture.
 package disktest
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/vertexfile"
 )
 
-// moduleRoot walks up from the working directory to the directory
-// holding go.mod, which is where `go build ./cmd/gpsa-serve` must run.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", errors.New("disktest: go.mod not found above working directory")
-		}
-		dir = parent
-	}
-}
+// rmatGraph is the fixed-seed R-MAT torture graph, built once per
+// process. The storms rewrite it to fresh directories through the real
+// CSR writer, so the in-memory CSR — not any one file — is the seed
+// input.
+var rmatGraph = sync.OnceValues(func() (*graph.CSR, error) {
+	return gen.RMATGraph(gen.RMATConfig{Vertices: 300, Edges: 1800, Seed: 11})
+})
 
-// buildServe compiles cmd/gpsa-serve into dir and returns the binary
-// path.
-func buildServe(dir string) (string, error) {
-	root, err := moduleRoot()
-	if err != nil {
-		return "", err
-	}
-	bin := filepath.Join(dir, "gpsa-serve")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/gpsa-serve")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		return "", fmt.Errorf("disktest: building gpsa-serve: %v\n%s", err, out)
-	}
-	return bin, nil
-}
-
-// tortureGraph returns the fixed-seed R-MAT torture graph (directed or
-// symmetrized), built once per process. The storms rewrite it to fresh
-// directories through the real CSR writer, so the in-memory CSR — not
-// any one file — is the seed input.
+// tortureGraph returns the torture graph, directed or symmetrized.
 func tortureGraph(symmetric bool) (*graph.CSR, error) {
-	graphOnce.Do(func() {
-		g, err := gen.RMATGraph(gen.RMATConfig{Vertices: 300, Edges: 1800, Seed: 11})
-		if err != nil {
-			graphErr = err
-			return
-		}
-		directedCSR, symmetricCSR = g, g.Symmetrize()
-	})
-	if graphErr != nil {
-		return nil, graphErr
+	g, err := rmatGraph()
+	if err != nil || !symmetric {
+		return g, err
 	}
-	if symmetric {
-		return symmetricCSR, nil
-	}
-	return directedCSR, nil
-}
-
-var (
-	graphOnce                 sync.Once
-	graphErr                  error
-	directedCSR, symmetricCSR *graph.CSR
-)
-
-// fileState is the durable outcome of a run: every vertex payload plus
-// the sealed progress counters — the exact data bit-identical recovery
-// is judged on.
-type fileState struct {
-	values    []uint64
-	epoch     int64
-	converged bool
-}
-
-// readState opens a value file and snapshots its payloads and header.
-// The file must be cleanly sealed — reading an in-progress file would
-// compare half-finished state.
-func readState(path string) (fileState, error) {
-	vf, err := vertexfile.Open(path)
-	if err != nil {
-		return fileState{}, err
-	}
-	defer vf.Close()
-	if vf.InProgress() {
-		return fileState{}, fmt.Errorf("disktest: %s not cleanly sealed", path)
-	}
-	return fileState{values: vf.Values(), epoch: vf.Epoch(), converged: vf.Converged()}, nil
-}
-
-// equal reports whether two file states are bit-identical.
-func (s fileState) equal(o fileState) bool {
-	if s.epoch != o.epoch || s.converged != o.converged || len(s.values) != len(o.values) {
-		return false
-	}
-	for i := range s.values {
-		if s.values[i] != o.values[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// server is one running gpsa-serve subprocess (the degraded-mode
-// scenario's subject).
-type server struct {
-	cmd  *exec.Cmd
-	addr string
-
-	mu     sync.Mutex
-	stderr bytes.Buffer
-
-	waitOnce sync.Once
-	waitErr  error
-}
-
-// startServer launches gpsa-serve on an ephemeral port with faultSpec
-// exported as GPSA_FAULT and waits until it reports its listen address.
-func startServer(bin, graphDir, jobsDir, faultSpec string, extra ...string) (*server, error) {
-	args := append([]string{
-		"-addr", "127.0.0.1:0",
-		"-graphs", graphDir,
-		"-jobs", jobsDir,
-		"-v",
-	}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), "GPSA_FAULT="+faultSpec)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stdout = io.Discard
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	s := &server{cmd: cmd}
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			s.mu.Lock()
-			s.stderr.WriteString(line + "\n")
-			s.mu.Unlock()
-			if i := strings.Index(line, "listening on "); i >= 0 {
-				addr := strings.Fields(line[i+len("listening on "):])[0]
-				select {
-				case addrCh <- addr:
-				default:
-				}
-			}
-		}
-	}()
-
-	select {
-	case addr := <-addrCh:
-		s.addr = addr
-	case <-time.After(15 * time.Second):
-		cmd.Process.Kill() //nolint:errcheck
-		cmd.Wait()         //nolint:errcheck
-		return nil, fmt.Errorf("disktest: server never reported its address; stderr:\n%s", s.stderrText())
-	}
-	return s, nil
-}
-
-func (s *server) stderrText() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stderr.String()
-}
-
-// kill SIGKILLs the server and reaps it.
-func (s *server) kill() {
-	s.cmd.Process.Kill() //nolint:errcheck
-	s.waitOnce.Do(func() { s.waitErr = s.cmd.Wait() })
-}
-
-// job mirrors the server's job JSON (the fields the scenario asserts
-// on).
-type job struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Error  string `json:"error"`
-}
-
-// submit POSTs a job spec and decodes the response.
-func (s *server) submit(spec map[string]any) (int, job, http.Header, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return 0, job{}, nil, err
-	}
-	resp, err := http.Post("http://"+s.addr+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, job{}, nil, err
-	}
-	defer resp.Body.Close()
-	var j job
-	data, _ := io.ReadAll(resp.Body)
-	json.Unmarshal(data, &j) //nolint:errcheck — error bodies aren't jobs
-	return resp.StatusCode, j, resp.Header, nil
-}
-
-// getJob fetches one job's state.
-func (s *server) getJob(id string) (job, error) {
-	resp, err := http.Get("http://" + s.addr + "/v1/jobs/" + id)
-	if err != nil {
-		return job{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return job{}, fmt.Errorf("disktest: GET job %s: %d", id, resp.StatusCode)
-	}
-	var j job
-	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-		return job{}, err
-	}
-	return j, nil
-}
-
-// metricsSnapshot fetches /metrics as a name -> value map.
-func (s *server) metricsSnapshot() (map[string]int64, error) {
-	resp, err := http.Get("http://" + s.addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out := make(map[string]int64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) != 2 {
-			continue
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		out[fields[0]] = v
-	}
-	return out, sc.Err()
-}
-
-// getStatus fetches a bare endpoint's HTTP status (healthz/readyz).
-func (s *server) getStatus(path string) (int, error) {
-	resp, err := http.Get("http://" + s.addr + path)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	return g.Symmetrize(), nil
 }
 
 // stormReport is the per-site outcome record the torture tests write as

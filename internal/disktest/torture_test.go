@@ -20,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mmap"
 	"repro/internal/scrub"
+	"repro/internal/torture"
 	"repro/internal/vertexfile"
 )
 
@@ -35,62 +36,47 @@ func engineOpts(ctx context.Context, valuesPath string) gpsa.RunOptions {
 	}
 }
 
-var (
-	baselineOnce sync.Once
-	baselineDir  string
-	baselineErr  error
-	baselineSt   fileState
-)
+var scratchDir string // torture.Main's per-process directory
 
-// baselineState runs PageRank once on an undisturbed disk and memoizes
-// the sealed outcome every storm run is judged against.
-func baselineState(t *testing.T) fileState {
-	t.Helper()
-	baselineOnce.Do(func() {
-		if fault.Enabled() {
-			baselineErr = errors.New("baseline requested while a fault plan is active")
-			return
-		}
-		dir, err := os.MkdirTemp("", "gpsa-disktest-baseline-*")
-		if err != nil {
-			baselineErr = err
-			return
-		}
-		baselineDir = dir
-		csr, err := tortureGraph(false)
-		if err != nil {
-			baselineErr = err
-			return
-		}
-		gp := filepath.Join(dir, "g.gpsa")
-		if err := graph.WriteFile(gp, csr); err != nil {
-			baselineErr = err
-			return
-		}
-		vp := filepath.Join(dir, "v.gpvf")
-		vals, _, err := gpsa.Run(gp, algorithms.PageRank{}, engineOpts(context.Background(), vp))
-		if err != nil {
-			baselineErr = err
-			return
-		}
-		if err := vals.Close(); err != nil {
-			baselineErr = err
-			return
-		}
-		baselineSt, baselineErr = readState(vp)
-	})
-	if baselineErr != nil {
-		t.Fatalf("disktest baseline: %v", baselineErr)
+// baseline runs PageRank once on an undisturbed disk and memoizes the
+// sealed outcome every storm run is judged against.
+var baseline = sync.OnceValues(func() (torture.State, error) {
+	if fault.Enabled() {
+		return torture.State{}, errors.New("baseline requested while a fault plan is active")
 	}
-	return baselineSt
+	csr, err := tortureGraph(false)
+	if err != nil {
+		return torture.State{}, err
+	}
+	gp := filepath.Join(scratchDir, "baseline.gpsa")
+	if err := graph.WriteFile(gp, csr); err != nil {
+		return torture.State{}, err
+	}
+	vp := filepath.Join(scratchDir, "baseline.gpvf")
+	vals, _, err := gpsa.Run(gp, algorithms.PageRank{}, engineOpts(context.Background(), vp))
+	if err != nil {
+		return torture.State{}, err
+	}
+	if err := vals.Close(); err != nil {
+		return torture.State{}, err
+	}
+	return torture.ReadState(vp)
+})
+
+func baselineState(t *testing.T) torture.State {
+	t.Helper()
+	st, err := baseline()
+	if err != nil {
+		t.Fatalf("disktest baseline: %v", err)
+	}
+	return st
 }
 
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if baselineDir != "" {
-		os.RemoveAll(baselineDir)
-	}
-	os.Exit(code)
+	torture.Main(m, func(dir string) error {
+		scratchDir = dir
+		return nil
+	})
 }
 
 // assertTypedDiskErr fails unless err carries one of the three diskio
@@ -147,11 +133,7 @@ func TestDiskTortureEngineStorms(t *testing.T) {
 	}
 	// Vacuity guard: a storm matrix whose faults never fired proves
 	// nothing. Every site must have hit at least once across its cells.
-	for _, site := range stormSites {
-		if fired[site] == 0 {
-			t.Errorf("site %s never fired across the storm matrix; the torture is vacuous for it", site)
-		}
-	}
+	torture.RequireFired(t, func(site string) int64 { return fired[site] }, stormSites...)
 	// The storage layer must have counted what it survived: every
 	// injected failure classifies into the exported disk.* counters.
 	if metrics.Counter(metrics.CtrDiskWriteErrors) == 0 {
@@ -167,7 +149,7 @@ func TestDiskTortureEngineStorms(t *testing.T) {
 
 // runStorm executes one (site, onset) cell of the matrix and returns
 // its outcome record.
-func runStorm(t *testing.T, site string, after int64, base fileState) stormReport {
+func runStorm(t *testing.T, site string, after int64, base torture.State) stormReport {
 	t.Helper()
 	csr, err := tortureGraph(false)
 	if err != nil {
@@ -207,12 +189,12 @@ func runStorm(t *testing.T, site string, after int64, base fileState) stormRepor
 		if err := vals.Close(); err != nil {
 			t.Fatalf("site %s: closing values: %v", site, err)
 		}
-		st, err := readState(vp)
+		st, err := torture.ReadState(vp)
 		if err != nil {
 			t.Fatalf("site %s: run reported success but the file does not verify: %v", site, err)
 		}
-		if !st.equal(base) {
-			t.Fatalf("site %s: run reported success with values NOT bit-identical to baseline (epoch %d vs %d) — silent corruption", site, st.epoch, base.epoch)
+		if !st.Equal(base) {
+			t.Fatalf("site %s: run reported success with values NOT bit-identical to baseline (epoch %d vs %d) — silent corruption", site, st.Epoch, base.Epoch)
 		}
 		rep.Outcome = "completed"
 		return rep
@@ -239,11 +221,11 @@ func runStorm(t *testing.T, site string, after int64, base fileState) stormRepor
 	if err := vals.Close(); err != nil {
 		t.Fatalf("site %s: closing recovered values: %v", site, err)
 	}
-	st, err := readState(vp)
+	st, err := torture.ReadState(vp)
 	if err != nil {
 		t.Fatalf("site %s: recovered file does not verify: %v", site, err)
 	}
-	if !st.equal(base) {
+	if !st.Equal(base) {
 		t.Fatalf("site %s: recovered values NOT bit-identical to baseline", site)
 	}
 	rep.Outcome = "typed-error+recovered"
@@ -317,10 +299,6 @@ func TestDiskReadFaultsTyped(t *testing.T) {
 // — all without a restart.
 func TestDiskServeDegradedEnterExit(t *testing.T) {
 	dir := t.TempDir()
-	bin, err := buildServe(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	graphDir := filepath.Join(dir, "graphs")
 	jobsDir := filepath.Join(dir, "jobs")
 	for _, d := range []string{graphDir, jobsDir} {
@@ -339,28 +317,30 @@ func TestDiskServeDegradedEnterExit(t *testing.T) {
 	// Four EIO write firings: the submit's journal append (1) plus three
 	// failed probes, then the disk "heals" on its own — exactly the
 	// transient-outage shape degraded mode exists for.
-	srv, err := startServer(bin, graphDir, jobsDir, "site=disk.eio.write,count=4",
-		"-probe-interval", "50ms", "-workers", "2")
+	srv, err := torture.StartServer(torture.ServerConfig{
+		GraphDir: graphDir, JobsDir: jobsDir, Fault: "site=disk.eio.write,count=4",
+		Extra: []string{"-probe-interval", "50ms", "-workers", "2"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.kill()
+	defer srv.Kill()
 
 	spec := map[string]any{"graph": "t.gpsa", "algo": "pagerank"}
-	code, _, hdr, err := srv.submit(spec)
+	code, _, hdr, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 503 {
-		t.Fatalf("submit on failing disk = %d, want 503; stderr:\n%s", code, srv.stderrText())
+		t.Fatalf("submit on failing disk = %d, want 503; stderr:\n%s", code, srv.Stderr())
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("degraded 503 carries no Retry-After")
 	}
-	if code, err := srv.getStatus("/readyz"); err != nil || code != 503 {
+	if code, err := srv.Status("/readyz"); err != nil || code != 503 {
 		t.Fatalf("/readyz while degraded = %d, %v; want 503", code, err)
 	}
-	snap, err := srv.metricsSnapshot()
+	snap, err := srv.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,41 +354,27 @@ func TestDiskServeDegradedEnterExit(t *testing.T) {
 	// The probe exhausts the injection budget and readmits.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		code, err := srv.getStatus("/readyz")
+		code, err := srv.Status("/readyz")
 		if err == nil && code == 200 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("/readyz never recovered; stderr:\n%s", srv.stderrText())
+			t.Fatalf("/readyz never recovered; stderr:\n%s", srv.Stderr())
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 
-	code, j, _, err := srv.submit(spec)
+	code, j, _, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 202 {
-		t.Fatalf("submit after recovery = %d, want 202; stderr:\n%s", code, srv.stderrText())
+		t.Fatalf("submit after recovery = %d, want 202; stderr:\n%s", code, srv.Stderr())
 	}
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		got, err := srv.getJob(j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Status == "completed" {
-			break
-		}
-		if got.Status == "failed" || got.Status == "deadline_exceeded" {
-			t.Fatalf("post-recovery job ended %s: %s", got.Status, got.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("post-recovery job stuck in %s", got.Status)
-		}
-		time.Sleep(25 * time.Millisecond)
+	if got := srv.WaitAllTerminal(t, []string{j.ID}, 30*time.Second)[j.ID]; got.Status != "completed" {
+		t.Fatalf("post-recovery job ended %s: %s", got.Status, got.Error)
 	}
-	snap, err = srv.metricsSnapshot()
+	snap, err = srv.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +426,7 @@ func TestDiskClusterBitrotRepairBitIdentical(t *testing.T) {
 	}
 	owners := cluster.StaticOwners(len(intervals), nodes)
 	nodePath := func(id int) string { return filepath.Join(work, fmt.Sprintf("node-%d.gpvf", id)) }
-	epochSt, err := readState(nodePath(0))
+	epochSt, err := torture.ReadState(nodePath(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,24 +442,24 @@ func TestDiskClusterBitrotRepairBitIdentical(t *testing.T) {
 	combined := filepath.Join(dir, "combined.gpvf")
 	n := int64(len(values))
 	repair := func() error {
-		return cluster.RepairValuesFile(combined, n, epochSt.epoch, prog.Init, sources)
+		return cluster.RepairValuesFile(combined, n, epochSt.Epoch, prog.Init, sources)
 	}
 	if err := repair(); err != nil {
 		t.Fatalf("building combined artifact: %v", err)
 	}
-	st, err := readState(combined)
+	st, err := torture.ReadState(combined)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := int64(0); v < n; v++ {
-		if st.values[v] != values[v] {
-			t.Fatalf("combined artifact differs from gathered values at vertex %d: %d vs %d", v, st.values[v], values[v])
+		if st.Values[v] != values[v] {
+			t.Fatalf("combined artifact differs from gathered values at vertex %d: %d vs %d", v, st.Values[v], values[v])
 		}
 	}
 
 	// Rot a sealed dispatch-column payload, where the column digest —
 	// not the header checksum — must catch it.
-	rotOff := 128 + 8*((n+63)/64) + 8*(2*150+int64(vertexfile.DispatchCol(st.epoch)))
+	rotOff := 128 + 8*((n+63)/64) + 8*(2*150+int64(vertexfile.DispatchCol(st.Epoch)))
 	if err := diskio.Rot(combined, rotOff); err != nil {
 		t.Fatal(err)
 	}
@@ -529,13 +495,13 @@ func TestDiskClusterBitrotRepairBitIdentical(t *testing.T) {
 	}
 
 	// The repaired artifact is bit-identical to the cluster result.
-	st, err = readState(combined)
+	st, err = torture.ReadState(combined)
 	if err != nil {
 		t.Fatalf("repaired artifact does not verify: %v", err)
 	}
 	for v := int64(0); v < n; v++ {
-		if st.values[v] != values[v] {
-			t.Fatalf("repaired artifact differs at vertex %d: %d vs %d", v, st.values[v], values[v])
+		if st.Values[v] != values[v] {
+			t.Fatalf("repaired artifact differs at vertex %d: %d vs %d", v, st.Values[v], values[v])
 		}
 	}
 }

@@ -206,46 +206,6 @@ func TestPartitionCoversGraphExactly(t *testing.T) {
 	}
 }
 
-func TestPartitionByVerticesCoversGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	const v = 1200
-	g, err := FromEdges(randomEdges(rng, v, 5000), v, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFile(writeTemp(t, g), mmap.ModeAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for _, n := range []int{1, 3, 8} {
-		ivs := f.PartitionByVertices(n)
-		var vertices, edges int64
-		prevEnd := int64(0)
-		for _, iv := range ivs {
-			if iv.FirstVertex != prevEnd {
-				t.Fatalf("PartitionByVertices(%d): gap before %d", n, iv.FirstVertex)
-			}
-			prevEnd = iv.EndVertex
-			vertices += iv.EndVertex - iv.FirstVertex
-			edges += iv.Edges
-		}
-		if prevEnd != f.NumVertices || edges != f.NumEdges {
-			t.Fatalf("PartitionByVertices(%d) covers %d vertices / %d edges", n, vertices, edges)
-		}
-		if n > 1 && len(ivs) > 1 {
-			// Vertex counts should be roughly equal (within index stride).
-			per := f.NumVertices / int64(n)
-			for _, iv := range ivs {
-				got := iv.EndVertex - iv.FirstVertex
-				if got < per/4 || got > per*4 {
-					t.Fatalf("PartitionByVertices(%d): interval of %d vertices, expected ~%d", n, got, per)
-				}
-			}
-		}
-	}
-}
-
 func TestPartitionBalance(t *testing.T) {
 	// A skewed graph: vertex 0 has 5000 edges, the rest few. Partitioning
 	// by edges should still bound each interval (beyond the unavoidable

@@ -1,49 +1,27 @@
 package servetest
 
 import (
-	"flag"
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/torture"
 )
 
-var (
-	serveBin  string
-	graphsDir string
-)
+var graphsDir string
 
-// TestMain compiles cmd/gpsa-serve and generates the torture graphs
-// once for the whole package. Skipped under -short.
+// TestMain generates the torture graphs once for the whole package;
+// gpsa-serve is built on the first server start. Skipped under -short.
 func TestMain(m *testing.M) {
-	flag.Parse()
-	dir := ""
-	if !testing.Short() {
-		var err error
-		if dir, err = os.MkdirTemp("", "gpsa-servetest-*"); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fatal := func(err error) {
-			os.RemoveAll(dir)
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if serveBin, err = buildServe(dir); err != nil {
-			fatal(err)
+	torture.Main(m, func(dir string) (err error) {
+		if testing.Short() {
+			return nil
 		}
 		graphsDir = filepath.Join(dir, "graphs")
-		if _, _, err = writeGraphs(graphsDir); err != nil {
-			fatal(err)
-		}
-	}
-	code := m.Run()
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
-	os.Exit(code)
+		_, _, err = torture.WriteERGraphs(graphsDir)
+		return err
+	})
 }
 
 // tortureSpecs are the concurrent jobs of the kill/resume scenarios:
@@ -66,11 +44,11 @@ func tortureSpecs() []map[string]any {
 const stallFault = "site=core.computer.stall,count=-1,delay=20ms"
 
 // submitAll submits specs in order and returns the job IDs.
-func submitAll(t *testing.T, s *server, specs []map[string]any) []string {
+func submitAll(t *testing.T, s *torture.Server, specs []map[string]any) []string {
 	t.Helper()
 	var ids []string
 	for i, spec := range specs {
-		code, j, _, err := s.submit(spec)
+		code, j, _, err := s.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -82,86 +60,32 @@ func submitAll(t *testing.T, s *server, specs []map[string]any) []string {
 	return ids
 }
 
-// waitRunning polls until at least n jobs report status running.
-func waitRunning(t *testing.T, s *server, n int, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		jobs, err := s.listJobs()
-		if err == nil {
-			running := 0
-			for _, j := range jobs {
-				if j.Status == "running" {
-					running++
-				}
-			}
-			if running >= n {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never reached %d running jobs; stderr:\n%s", n, s.stderrText())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// waitAllTerminal polls until every listed job is terminal, then
-// returns the jobs keyed by ID.
-func waitAllTerminal(t *testing.T, s *server, ids []string, timeout time.Duration) map[string]job {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		jobs, err := s.listJobs()
-		if err == nil {
-			byID := make(map[string]job, len(jobs))
-			done := 0
-			for _, j := range jobs {
-				byID[j.ID] = j
-			}
-			for _, id := range ids {
-				if j, ok := byID[id]; ok && terminalStatus(j.Status) {
-					done++
-				}
-			}
-			if done == len(ids) {
-				return byID
-			}
-		}
-		if time.Now().After(deadline) {
-			jobs, _ := s.listJobs()
-			t.Fatalf("jobs never all finished: %+v\nstderr:\n%s", jobs, s.stderrText())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // runBaseline runs the torture specs on an undisturbed server and
 // returns each job's sealed file state — the bits every tortured
 // schedule must reproduce exactly.
-func runBaseline(t *testing.T, specs []map[string]any) map[string]fileState {
+func runBaseline(t *testing.T, specs []map[string]any) map[string]torture.State {
 	t.Helper()
 	jobsDir := filepath.Join(t.TempDir(), "jobs-baseline")
-	s, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir})
+	s, err := torture.StartServer(torture.ServerConfig{GraphDir: graphsDir, JobsDir: jobsDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 	ids := submitAll(t, s, specs)
-	byID := waitAllTerminal(t, s, ids, 120*time.Second)
-	states := make(map[string]fileState, len(ids))
+	byID := s.WaitAllTerminal(t, ids, 120*time.Second)
+	states := make(map[string]torture.State, len(ids))
 	for _, id := range ids {
 		j := byID[id]
 		if j.Status != "completed" {
 			t.Fatalf("baseline job %s finished %q (%s)", id, j.Status, j.Error)
 		}
-		st, err := readState(j.Values)
+		st, err := torture.ReadState(j.Values)
 		if err != nil {
 			t.Fatal(err)
 		}
 		states[id] = st
 	}
-	if code, err := s.terminate(); err != nil || code != 0 {
+	if code, err := s.Terminate(); err != nil || code != 0 {
 		t.Fatalf("baseline drain exit = %d (%v)", code, err)
 	}
 	return states
@@ -174,43 +98,43 @@ func TestServeSmoke(t *testing.T) {
 		t.Skip("servetest harness skipped in -short mode")
 	}
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
-	s, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir})
+	s, err := torture.StartServer(torture.ServerConfig{GraphDir: graphsDir, JobsDir: jobsDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 
 	spec := map[string]any{"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5, "dispatchers": 1}
 	ids := submitAll(t, s, []map[string]any{spec, {"graph": "torture.gpsa", "algo": "bfs", "root": 0, "dispatchers": 1}})
-	byID := waitAllTerminal(t, s, ids, 60*time.Second)
+	byID := s.WaitAllTerminal(t, ids, 60*time.Second)
 	for _, id := range ids {
 		if byID[id].Status != "completed" {
 			t.Fatalf("job %s finished %q (%s)", id, byID[id].Status, byID[id].Error)
 		}
 	}
 	// Identical resubmission is a cache hit.
-	code, j, _, err := s.submit(spec)
+	code, j, _, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 200 || !j.Cached {
 		t.Fatalf("resubmission = %d cached=%v, want 200 from cache", code, j.Cached)
 	}
-	if ready, _ := s.getStatus("/readyz"); ready != 200 {
+	if ready, _ := s.Status("/readyz"); ready != 200 {
 		t.Fatalf("/readyz = %d", ready)
 	}
-	m, err := s.metricsSnapshot()
+	m, err := s.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m["serve.admitted"] < 2 || m["serve.completed"] < 2 || m["serve.cache.hits"] < 1 {
 		t.Fatalf("metrics %v missing admitted/completed/cache.hits", m)
 	}
-	if code, err := s.terminate(); err != nil || code != 0 {
-		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.stderrText())
+	if code, err := s.Terminate(); err != nil || code != 0 {
+		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.Stderr())
 	}
-	if !strings.Contains(s.stderrText(), "drained cleanly") {
-		t.Fatalf("drain not confirmed; stderr:\n%s", s.stderrText())
+	if !strings.Contains(s.Stderr(), "drained cleanly") {
+		t.Fatalf("drain not confirmed; stderr:\n%s", s.Stderr())
 	}
 }
 
@@ -228,40 +152,40 @@ func TestServeTortureKillResume(t *testing.T) {
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
 
 	// Generation 1: stalled jobs, SIGKILL with >= 4 running.
-	s1, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, fault: stallFault})
+	s1, err := torture.StartServer(torture.ServerConfig{GraphDir: graphsDir, JobsDir: jobsDir, Fault: stallFault})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := submitAll(t, s1, specs)
-	waitRunning(t, s1, 4, 30*time.Second)
-	s1.kill()
+	s1.WaitRunning(t, 4, 30*time.Second)
+	s1.Kill()
 	t.Log("generation 1 SIGKILLed with >= 4 jobs in flight")
 
 	// Generation 2: resume under the same stall, SIGKILL again mid-resume
 	// — recovery must itself be recoverable.
-	s2, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, resume: true, fault: stallFault})
+	s2, err := torture.StartServer(torture.ServerConfig{GraphDir: graphsDir, JobsDir: jobsDir, Resume: true, Fault: stallFault})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, s2, 1, 30*time.Second)
-	m2, err := s2.metricsSnapshot()
+	s2.WaitRunning(t, 1, 30*time.Second)
+	m2, err := s2.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2["serve.resumed"] < 4 {
 		t.Fatalf("generation 2 resumed %d jobs, want >= 4 (the in-flight kills)", m2["serve.resumed"])
 	}
-	s2.kill()
+	s2.Kill()
 	t.Log("generation 2 SIGKILLed mid-resume")
 
 	// Generation 3: undisturbed resume runs everything to completion.
-	s3, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, resume: true})
+	s3, err := torture.StartServer(torture.ServerConfig{GraphDir: graphsDir, JobsDir: jobsDir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s3.kill()
-	byID := waitAllTerminal(t, s3, ids, 120*time.Second)
-	m3, err := s3.metricsSnapshot()
+	defer s3.Kill()
+	byID := s3.WaitAllTerminal(t, ids, 120*time.Second)
+	m3, err := s3.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,16 +197,16 @@ func TestServeTortureKillResume(t *testing.T) {
 		if j.Status != "completed" {
 			t.Fatalf("job %s finished %q (%s) after double kill + resume", id, j.Status, j.Error)
 		}
-		st, err := readState(j.Values)
+		st, err := torture.ReadState(j.Values)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.equal(baseline[id]) {
+		if !st.Equal(baseline[id]) {
 			t.Fatalf("job %s: resumed values differ from undisturbed baseline (epoch %d vs %d)",
-				id, st.epoch, baseline[id].epoch)
+				id, st.Epoch, baseline[id].Epoch)
 		}
 	}
-	if code, err := s3.terminate(); err != nil || code != 0 {
+	if code, err := s3.Terminate(); err != nil || code != 0 {
 		t.Fatalf("final drain exit = %d (%v)", code, err)
 	}
 }
@@ -296,20 +220,20 @@ func TestServeTortureOverloadDrain(t *testing.T) {
 		t.Skip("servetest harness skipped in -short mode")
 	}
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
-	s, err := startServer(serverConfig{
-		bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, fault: stallFault,
-		extra: []string{"-queue-cap", "2", "-workers", "1"},
+	s, err := torture.StartServer(torture.ServerConfig{
+		GraphDir: graphsDir, JobsDir: jobsDir, Fault: stallFault,
+		Extra: []string{"-queue-cap", "2", "-workers", "1"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 
 	var admitted []string
 	shed := 0
 	for i := 0; i < 12; i++ {
 		// Distinct epsilons keep every submission out of the result cache.
-		code, j, hdr, err := s.submit(map[string]any{
+		code, j, hdr, err := s.Submit(map[string]any{
 			"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5,
 			"dispatchers": 1, "epsilon": float64(i+1) / 1000,
 		})
@@ -333,7 +257,7 @@ func TestServeTortureOverloadDrain(t *testing.T) {
 	}
 	t.Logf("burst: %d admitted, %d shed", len(admitted), shed)
 
-	m, err := s.metricsSnapshot()
+	m, err := s.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,30 +267,30 @@ func TestServeTortureOverloadDrain(t *testing.T) {
 	}
 
 	// SIGTERM drains: exit 0, journal keeps the backlog.
-	code, err := s.terminate()
+	code, err := s.Terminate()
 	if err != nil || code != 0 {
-		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.stderrText())
+		t.Fatalf("drain exit = %d (%v); stderr:\n%s", code, err, s.Stderr())
 	}
 
-	s2, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, resume: true})
+	s2, err := torture.StartServer(torture.ServerConfig{GraphDir: graphsDir, JobsDir: jobsDir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.kill()
-	byID := waitAllTerminal(t, s2, admitted, 120*time.Second)
+	defer s2.Kill()
+	byID := s2.WaitAllTerminal(t, admitted, 120*time.Second)
 	for _, id := range admitted {
 		if byID[id].Status != "completed" {
 			t.Fatalf("backlog job %s finished %q (%s)", id, byID[id].Status, byID[id].Error)
 		}
 	}
-	m2, err := s2.metricsSnapshot()
+	m2, err := s2.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2["serve.resumed"] < 1 {
 		t.Fatalf("drained backlog not resumed: metrics %v", m2)
 	}
-	if code, err := s2.terminate(); err != nil || code != 0 {
+	if code, err := s2.Terminate(); err != nil || code != 0 {
 		t.Fatalf("second drain exit = %d (%v)", code, err)
 	}
 }
@@ -379,44 +303,34 @@ func TestServeTortureDeadline(t *testing.T) {
 		t.Skip("servetest harness skipped in -short mode")
 	}
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
-	s, err := startServer(serverConfig{bin: serveBin, graphDir: graphsDir, jobsDir: jobsDir, fault: stallFault})
+	s, err := torture.StartServer(torture.ServerConfig{GraphDir: graphsDir, JobsDir: jobsDir, Fault: stallFault})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.kill()
+	defer s.Kill()
 
-	code, j, _, err := s.submit(map[string]any{
+	code, j, _, err := s.Submit(map[string]any{
 		"graph": "torture.gpsa", "algo": "pagerank", "supersteps": 5,
 		"dispatchers": 1, "deadline_ms": 50,
 	})
 	if err != nil || code != 202 {
 		t.Fatalf("submit = %d (%v)", code, err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		cur, err := s.getJob(j.ID)
-		if err == nil && terminalStatus(cur.Status) {
-			if cur.Status != "deadline_exceeded" {
-				t.Fatalf("job finished %q (%s), want deadline_exceeded", cur.Status, cur.Error)
-			}
-			if _, err := readState(cur.Values); err != nil {
-				t.Fatalf("deadline did not leave a sealed checkpoint: %v", err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never hit its deadline; stderr:\n%s", s.stderrText())
-		}
-		time.Sleep(10 * time.Millisecond)
+	cur := s.WaitAllTerminal(t, []string{j.ID}, 60*time.Second)[j.ID]
+	if cur.Status != "deadline_exceeded" {
+		t.Fatalf("job finished %q (%s), want deadline_exceeded", cur.Status, cur.Error)
 	}
-	m, err := s.metricsSnapshot()
+	if _, err := torture.ReadState(cur.Values); err != nil {
+		t.Fatalf("deadline did not leave a sealed checkpoint: %v", err)
+	}
+	m, err := s.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m["serve.deadline_exceeded"] < 1 {
 		t.Fatalf("serve.deadline_exceeded not counted: %v", m)
 	}
-	if code, err := s.terminate(); err != nil || code != 0 {
+	if code, err := s.Terminate(); err != nil || code != 0 {
 		t.Fatalf("drain exit = %d (%v)", code, err)
 	}
 }

@@ -220,6 +220,11 @@ func (f *File) colDigest(col int) uint64 {
 	return h
 }
 
+// Digest hashes the payloads of the committed (dispatch) column with
+// FNV-1a: a canonical fingerprint of the computation state, equal for
+// bit-identical values. It is the column digest Commit seals.
+func (f *File) Digest() uint64 { return f.colDigest(DispatchCol(f.Epoch())) }
+
 func bitmapWords(numVertices int64) int64 { return (numVertices + 63) / 64 }
 
 // Create builds a new value file for numVertices vertices. init supplies
